@@ -113,6 +113,25 @@ _KNOWN_KEYS = {
 }
 
 
+def _parse_length(text: str) -> float | None:
+    """Metres from ``7.5 um``, ``7.5um`` or ``7.5e-6``; None if unparseable."""
+    parts = text.split()
+    try:
+        if len(parts) == 2 and parts[1] in _LENGTH_SUFFIX:
+            return float(parts[0]) * _LENGTH_SUFFIX[parts[1]]
+        if len(parts) == 1:
+            token = parts[0]
+            for suffix in sorted(_LENGTH_SUFFIX, key=len, reverse=True):
+                if token.endswith(suffix) and len(token) > len(suffix):
+                    head = token[: -len(suffix)]
+                    if head[-1].isdigit() or head[-1] == ".":
+                        return float(head) * _LENGTH_SUFFIX[suffix]
+            return float(token)
+    except ValueError:
+        pass
+    return None
+
+
 class _Entries:
     """Parsed key/value pairs with typed, line-aware accessors."""
 
@@ -136,10 +155,12 @@ class _Entries:
         try:
             if "/" in text:
                 num, den = text.split("/")
-                return float(num) / float(den)
-            return float(text)
+                value = float(num) / float(den)
+            else:
+                value = float(text)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{key}: cannot parse number from {text!r}", line) from None
+        return self._finite(key, value)
 
     def integer(self, key: str, default: int | None = None) -> int:
         value = self.number(key, default if default is None else float(default))
@@ -154,21 +175,17 @@ class _Entries:
                 raise ConfigError(f"missing required key {key!r}")
             return default
         text, line = self._items[key]
-        parts = text.split()
-        try:
-            if len(parts) == 2 and parts[1] in _LENGTH_SUFFIX:
-                return float(parts[0]) * _LENGTH_SUFFIX[parts[1]]
-            if len(parts) == 1:
-                token = parts[0]
-                for suffix in sorted(_LENGTH_SUFFIX, key=len, reverse=True):
-                    if token.endswith(suffix) and len(token) > len(suffix):
-                        head = token[: -len(suffix)]
-                        if head[-1].isdigit() or head[-1] == ".":
-                            return float(head) * _LENGTH_SUFFIX[suffix]
-                return float(token)
-        except ValueError:
-            pass
-        raise ConfigError(f"{key}: cannot parse length from {text!r}", line)
+        value = _parse_length(text)
+        if value is None:
+            raise ConfigError(f"{key}: cannot parse length from {text!r}", line)
+        return self._finite(key, value)
+
+    def _finite(self, key: str, value: float) -> float:
+        # float() accepts "nan" and "inf", and every range check below
+        # passes NaN, so non-finite values stop here with their key
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}", self._items[key][1])
+        return value
 
     def boolean(self, key: str, default: bool) -> bool:
         if key not in self._items:
@@ -411,10 +428,27 @@ def _atomic_write(path: str | os.PathLike, data: str) -> None:
         raise
 
 
+class OutputRowError(ValueError):
+    """A sweep row is non-finite or outside its physical range."""
+
+
+def _check_row(row: SweepRow) -> None:
+    values = (row.x, row.L_m, row.t_d_s, row.v_g_mps, row.transmission)
+    if not all(math.isfinite(v) for v in values):
+        raise OutputRowError(f"non-finite value in row {row}")
+    if not 0.0 < row.transmission <= 1.0:
+        raise OutputRowError(f"transmission outside (0, 1] in row {row}")
+    if not 0.0 < row.v_g_mps <= C_LIGHT:
+        raise OutputRowError(f"v_g outside (0, c] in row {row}")
+
+
 def write_csv(rows: Sequence[SweepRow], path: str | os.PathLike) -> None:
-    """CSV with the fixed schema, 12 significant digits, LF endings."""
+    """CSV with the fixed schema, 12 significant digits, LF endings.  Every
+    row is checked before anything is written; a bad one raises
+    OutputRowError and leaves no file."""
     lines = [CSV_HEADER]
     for row in rows:
+        _check_row(row)
         lines.append(
             ",".join(
                 (

@@ -31,6 +31,7 @@ from .numerics import (
     fermi_dirac_f,
     find_root,
     polylog,
+    require_finite,
     riemann_zeta,
 )
 
@@ -57,6 +58,7 @@ class TrapGeometry:
     epsilon: float  # omega_z / omega_r
 
     def __post_init__(self) -> None:
+        require_finite(self, "omega_r", "epsilon")
         if self.omega_r <= 0.0:
             raise ValueError("trap omega_r must be positive")
         if self.epsilon <= 0.0:
@@ -77,6 +79,7 @@ class GasSpec:
     a_sc: float = 0.0  # m, used only for Bose statistics
 
     def __post_init__(self) -> None:
+        require_finite(self, "n_atoms", "mass", "a_sc")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
         if self.mass <= 0.0:
@@ -281,14 +284,13 @@ class DensityProfile:
             self.r_cut = 8.0 * max(s.R_F, sigma_r)
         elif stats is Statistics.BOSE:
             point = mu_bose(T, spec, s, tol)
-            self._frac = point.condensate_fraction
             self._fugacity = point.fugacity
             if T <= s.T_c:
                 self._mu = point.mu
                 self._inv_U = spec.mass / (4.0 * math.pi * hbar**2 * spec.a_sc)
                 t = T / s.T_c
                 # thermal amplitude scaled so the cloud holds N - N_0 atoms
-                self._kappa = (1.0 - self._frac) / t**3
+                self._kappa = (1.0 - point.condensate_fraction) / t**3
                 if point.mu > 0.0:
                     self._tf_radius = math.sqrt(
                         2.0 * point.mu / (spec.mass * trap.omega_r**2)
@@ -301,25 +303,79 @@ class DensityProfile:
             raise UnsupportedStatisticsError(str(stats))
         self.z_cut = self.r_cut / trap.epsilon
 
+    def _ladder(self, order: float, v: float = 0.0) -> float:
+        """The thermal cloud's special function of order n at beta V = v:
+        f_n(e^{x0 - v}), g_n(z e^{-v}) or kappa g_n(e^{-v}), and z e^{-v}
+        for every n in the Boltzmann limit.  At n = 3/2 it is lambda_T^3
+        times the thermal density; n = 3 and 4 give the moments below."""
+        stats = self.spec.statistics
+        if stats is Statistics.FERMI:
+            return fermi_dirac_f(order, self._x0 - v, self.tol)
+        if stats is Statistics.BOLTZMANN:
+            return self._zmu * math.exp(-v)
+        if self.T > self.scales.T_c:
+            return polylog(order, self._fugacity * math.exp(-v), self.tol)
+        return self._kappa * polylog(order, math.exp(-v), self.tol)
+
     def at(self, r: float, z: float) -> float:
         """Number density in m^-3."""
-        spec = self.spec
         if self._zero_T:
-            return density_zero_T(spec, self.scales, r, z)
-        stats = spec.statistics
+            return density_zero_T(self.spec, self.scales, r, z)
         v = self._vcoef * (r * r + self.trap.epsilon**2 * z * z)
-        if stats is Statistics.FERMI:
-            return fermi_dirac_f(1.5, self._x0 - v, self.tol) / self._lam3
-        if stats is Statistics.BOLTZMANN:
-            return self._zmu * math.exp(-v) / self._lam3
-        if self.T > self.scales.T_c:
-            return polylog(1.5, self._fugacity * math.exp(-v), self.tol) / self._lam3
-        rho = self._kappa * polylog(1.5, math.exp(-v), self.tol) / self._lam3
-        if self._frac > 0.0:
+        rho = self._ladder(1.5, v) / self._lam3
+        if self._tf_radius > 0.0:
             local = self._mu - v / self._beta
             if local > 0.0:
                 rho += local * self._inv_U
         return rho
+
+    # Closed-form moments.  With v = a s^2, a = beta M omega_r^2 / 2 and the
+    # scaled coordinates s = (x, y, eps z), the ladder identity
+    #     int d^3s f_nu(zeta e^{-a s^2}) = (pi/a)^(3/2) f_{nu+3/2}(zeta)
+    # and its a-derivative turn the trap moments of the thermal cloud into
+    # order-3 and order-4 functions; the Thomas-Fermi parts are polynomials.
+
+    def axial_moment(self) -> float:
+        """int z^2 rho dV in m^2 (atoms times m^2), in closed form."""
+        eps = self.trap.epsilon
+        if self._zero_T:
+            # N R^2 / (8 eps^2) for the Fermi sphere, N R^2 / (7 eps^2) for
+            # the condensate paraboloid
+            shape = 8.0 if self.spec.statistics is Statistics.FERMI else 7.0
+            return self.spec.n_atoms * self._tf_radius**2 / (shape * eps**2)
+        a = self._vcoef
+        moment = self._ladder(4.0) * (math.pi / a) ** 1.5 / (2.0 * a * eps**3 * self._lam3)
+        R_c = self._tf_radius
+        if R_c > 0.0:
+            moment += self._tf_curvature() * (8.0 * math.pi / 105.0) * R_c**7 / eps**3
+        return moment
+
+    def pinhole_column(self, radius: float) -> float:
+        """Atoms in the axial cylinder r < radius, int_{r<radius} dA int dz rho,
+        in closed form.  The thermal part is a difference of two order-3
+        functions, which loses about log10(1 / (a radius^2)) digits."""
+        eps = self.trap.epsilon
+        if self._zero_T:
+            power = 3.0 if self.spec.statistics is Statistics.FERMI else 2.5
+            u2 = min(radius / self._tf_radius, 1.0) ** 2
+            return self.spec.n_atoms * _cap_fraction(u2, power)
+        a = self._vcoef
+        column = (
+            (self._ladder(3.0) - self._ladder(3.0, a * radius * radius))
+            * math.pi**1.5 / (eps * self._lam3 * a**1.5)
+        )
+        R_c = self._tf_radius
+        if R_c > 0.0:
+            u2 = min(radius / R_c, 1.0) ** 2
+            column += (
+                self._tf_curvature() * (8.0 * math.pi / (15.0 * eps)) * R_c**5
+                * _cap_fraction(u2, 2.5)
+            )
+        return column
+
+    def _tf_curvature(self) -> float:
+        # condensate density (mu - V) / U = this times (R_c^2 - r^2 - eps^2 z^2)
+        return 0.5 * self.spec.mass * self.trap.omega_r**2 * self._inv_U
 
     def peak(self) -> float:
         return self.at(0.0, 0.0)
@@ -330,6 +386,13 @@ class DensityProfile:
         if R <= 0.0 or r >= R:
             return ()
         return (math.sqrt(R * R - r * r) / self.trap.epsilon,)
+
+
+def _cap_fraction(u2: float, power: float) -> float:
+    """1 - (1 - u2)^power: the share of the atoms inside the cylinder of
+    radius sqrt(u2) R when the column density goes as (1 - r^2/R^2)^(power - 1).
+    Accurate for small u2."""
+    return -math.expm1(power * math.log1p(-u2)) if u2 < 1.0 else 1.0
 
 
 @lru_cache(maxsize=64)

@@ -42,6 +42,15 @@ class BracketError(ValueError):
     """Root bracket endpoints do not straddle a sign change."""
 
 
+def require_finite(obj: object, *fields: str) -> None:
+    """Reject NaN and infinite fields by name; the range checks that follow
+    a call to this compare with < and <=, which are all false for NaN."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NumericTolerances:
     """Central knobs for every numerical routine; thread explicitly."""
@@ -52,6 +61,9 @@ class NumericTolerances:
     max_iterations: int = 400
 
     def __post_init__(self) -> None:
+        require_finite(
+            self, "rel_tol_quadrature", "rel_tol_root", "series_cutoff", "max_iterations"
+        )
         if self.rel_tol_quadrature <= 0 or self.rel_tol_root <= 0:
             raise ValueError("tolerances must be strictly positive")
         if not 0.0 < self.series_cutoff < 1.0:

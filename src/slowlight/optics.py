@@ -18,6 +18,13 @@ Observables, all per unit cloud at temperature T:
   effective_group_velocity  L over the total transit time
   transmission              exp of the pinhole-averaged absorbance over
                             the central +-L/2 window
+
+L is closed-form for every statistics and temperature (the profile's axial
+moment, DensityProfile.axial_moment), and so is t_d with the local field
+off, where the excess slowness is linear in rho and only the pinhole column
+(DensityProfile.pinhole_column) enters.  t_d with the local field on and
+the transmission are nonlinear in rho and stay adaptive quadratures
+(integrate_cylindrical).
 """
 
 from __future__ import annotations
@@ -30,14 +37,18 @@ from scipy.constants import c as c_light, hbar
 
 from .gas import (
     CharScales,
-    DensityProfile,
     GasSpec,
     Statistics,
     TrapGeometry,
     UnsupportedStatisticsError,
     make_profile,
 )
-from .numerics import DEFAULT_TOL, NumericTolerances, integrate_cylindrical
+from .numerics import (
+    DEFAULT_TOL,
+    NumericTolerances,
+    integrate_cylindrical,
+    require_finite,
+)
 
 
 class ZeroDetuningError(ValueError):
@@ -65,6 +76,7 @@ class ProbeParams:
     local_field_on: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(self, "omega_0", "gamma", "delta", "pinhole_R", "k_L", "d_sq")
         if self.omega_0 <= 0.0 or self.gamma <= 0.0:
             raise ValueError("omega_0 and gamma must be positive")
         if self.delta == 0.0:
@@ -174,21 +186,13 @@ def group_velocity_from_dispersion(
     )
 
 
-def _profile(spec, trap, T, tol) -> DensityProfile:
-    return make_profile(spec, trap, T, tol)
-
-
 def effective_length(
     spec: GasSpec, trap: TrapGeometry, T: float,
     tol: NumericTolerances = DEFAULT_TOL,
 ) -> float:
-    """RMS axial extent of the cloud, L = [(1/N) int z^2 rho dV]^(1/2)."""
-    prof = _profile(spec, trap, T, tol)
-    moment = integrate_cylindrical(
-        lambda r, z: z * z * prof.at(r, z),
-        prof.r_cut, prof.z_cut, tol, z_breakpoints=prof.z_breakpoints,
-    )
-    return math.sqrt(moment / spec.n_atoms)
+    """RMS axial extent of the cloud, L = [(1/N) int z^2 rho dV]^(1/2), from
+    the profile's closed-form axial moment."""
+    return math.sqrt(make_profile(spec, trap, T, tol).axial_moment() / spec.n_atoms)
 
 
 def _delay_of_profile(
@@ -198,6 +202,12 @@ def _delay_of_profile(
     # in the excess-slowness form, so the axial window only needs to cover
     # the cloud.
     R = probe.pinhole_R
+    if not probe.local_field_on:
+        # Without the local-field denominator the excess slowness
+        # 1/v_g - 1/c = K rho is linear in rho, K = 2 pi omega_0 alpha / (Delta c),
+        # so the average needs only the number of atoms in the pinhole column.
+        K = 2.0 * math.pi * probe.omega_0 * polarizability(probe) / (probe.delta * c_light)
+        return K * prof.pinhole_column(R) / (math.pi * R * R)
 
     def excess(r: float, z: float) -> float:
         return 1.0 / group_velocity_local(prof.at(r, z), probe) - 1.0 / c_light
@@ -213,7 +223,7 @@ def delay_time(
     tol: NumericTolerances = DEFAULT_TOL,
 ) -> float:
     """Averaged pulse delay over the pinhole column, vacuum transit removed."""
-    return _delay_of_profile(_profile(spec, trap, T, tol), probe, tol)
+    return _delay_of_profile(make_profile(spec, trap, T, tol), probe, tol)
 
 
 def _transmission_of_profile(
@@ -239,7 +249,7 @@ def transmission(
 ) -> float:
     """Transmission exp(alpha_T) with the absorbance averaged over the
     pinhole and the central +-L/2 axial window."""
-    prof = _profile(spec, trap, T, tol)
+    prof = make_profile(spec, trap, T, tol)
     if L is None:
         L = effective_length(spec, trap, T, tol)
     return _transmission_of_profile(prof, probe, L, tol)
@@ -251,7 +261,7 @@ def transmission_peak_estimate(
     L: float | None = None,
 ) -> float:
     """Quick estimate exp(-2 (omega_0/c) chi''_peak L) using the peak density."""
-    prof = _profile(spec, trap, T, tol)
+    prof = make_profile(spec, trap, T, tol)
     if L is None:
         L = effective_length(spec, trap, T, tol)
     chi_abs = susceptibility(prof.peak(), probe).chi_abs
@@ -268,7 +278,7 @@ def effective_group_velocity(
     slow-light regime this is L/t_d to parts in 10^6, and it degrades
     gracefully to c for an empty medium.
     """
-    prof = _profile(spec, trap, T, tol)
+    prof = make_profile(spec, trap, T, tol)
     L = effective_length(spec, trap, T, tol)
     t_d = _delay_of_profile(prof, probe, tol)
     if t_d < 0.0 or L <= 0.0:
@@ -290,6 +300,21 @@ def v_g_zero_T(
 
     N and eps are recovered from the scales; R is the pinhole radius and
     must not exceed the cloud radius.
+
+    Both are exactly twice the pipeline's L / t_d with the local field off.
+    There t_d = K C / (pi R^2) with K = 2 pi omega_0 alpha / (Delta c)
+    = 3 pi gamma c^2 / (2 omega_0^2 Delta^2) under the default dipole rule,
+    and the zero-T pinhole columns are C = N (1 - [1 - u^2]^(5/2)) (Bose)
+    and C = N (1 - [1 - u^2]^3) = 3 N u^2 (1 - u^2 + u^4 / 3) (Fermi),
+    u = R / R_cloud.  With L = R_B / (sqrt7 eps) and R_F / (sqrt8 eps):
+
+        Bose:  L / t_d = (2 / (3 sqrt7)) omega_0^2 Delta^2 R^2 R_B
+                         / (N eps c^2 gamma (1 - [1 - (R/R_B)^2]^(5/2)))
+        Fermi: L / t_d = (sqrt2 / 18) omega_0^2 Delta^2 R_F^3
+                         / (N eps c^2 gamma (1 - (R/R_F)^2 + (R/R_F)^4 / 3))
+
+    against the prefactors 4 / (3 sqrt7) and sqrt2 / 9 above.  Acceptance
+    criterion 11 asserts the factor 2 to 1e-9.
     """
     eps = scales.epsilon
     n_atoms = scales.R_F**6 / (48.0 * eps * scales.a_r**6)

@@ -332,8 +332,8 @@ def test_criterion_10_figure_two_qualitative(na_cloud, fig2):
 
 
 def test_criterion_11_convention_constants_recorded(na_cloud):
-    # absolute zero-T magnitudes are convention-bound; assert only that the
-    # pipeline tracks the closed-form shape, and log the constants
+    # the zero-T closed forms carry twice the pipeline's L / t_d, exactly:
+    # see the v_g_zero_T docstring for the algebra
     spec, trap, s = na_cloud
     constants = {}
     for stat, radius in ((Statistics.BOSE, s.R_B), (Statistics.FERMI, s.R_F)):
@@ -345,14 +345,12 @@ def test_criterion_11_convention_constants_recorded(na_cloud):
             )
             v_pipe = effective_length(gspec, trap, 0.0) / delay_time(gspec, trap, probe, 0.0)
             ratios.append(v_g_zero_T(stat, s, probe) / v_pipe)
-        mean = sum(ratios) / len(ratios)
-        spread = max(abs(r / mean - 1.0) for r in ratios)
-        assert spread < 0.01, stat
-        constants[stat.value] = mean
+        for ratio in ratios:
+            assert ratio == pytest.approx(2.0, rel=1e-9), stat
+        constants[stat.value] = max(abs(r / 2.0 - 1.0) for r in ratios)
     report("criterion 11",
-           "closed-form/pipeline constants (recorded, not asserted): "
-           f"Bose {constants['bose']:.4f}, Fermi {constants['fermi']:.4f} "
-           "(R-independent to <1%)")
+           "closed-form/pipeline constant is 2 (asserted to 1e-9): worst |r/2 - 1| "
+           f"Bose {constants['bose']:.1e}, Fermi {constants['fermi']:.1e}")
 
 
 def test_criterion_12_determinism_and_runtime(tmp_path, fig1, fig2):

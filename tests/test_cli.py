@@ -3,12 +3,14 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from slowlight.cli import (
     CSV_HEADER,
     ConfigError,
+    OutputRowError,
     SweepRow,
     emit_chart,
     load_config,
@@ -175,6 +177,18 @@ class TestCsv:
         assert "3.33333333333e-01" in body
         assert body.endswith("\n") and "\r" not in body
 
+    @pytest.mark.parametrize("field,value", [
+        ("L_m", math.nan), ("t_d_s", math.inf), ("x", math.nan),
+        ("transmission", 0.0), ("transmission", 1.5),
+        ("v_g_mps", 0.0), ("v_g_mps", 3.1e8),
+    ])
+    def test_bad_row_rejected_without_writing(self, tmp_path, field, value):
+        good = SweepRow("bose", 0.5, 2.9e-5, 4.9e-8, 595.0, 0.8126)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(OutputRowError):
+            write_csv([good, replace(good, **{field: value})], path)
+        assert not path.exists()
+
     def test_sweep_csv_round_trip(self, tmp_path):
         cfg = parse_config(TINY_SWEEP)
         rows = run_sweep(cfg)
@@ -255,6 +269,21 @@ class TestCommandLine:
         assert main(["run", str(bad), "--out", str(out_csv)]) == 1
         assert not out_csv.exists()
         assert "trap.epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,old,new", [
+        ("probe.pinhole_radius", "= 5 um", "= nan um"),
+        ("gas.atom_count", "= 1e5", "= nan"),
+        ("trap.epsilon", "= 1/3", "= inf"),
+        ("probe.detuning_gamma", "= 20", "= 1e400"),
+    ])
+    def test_non_finite_input_exits_nonzero_naming_key(self, tmp_path, capsys, key, old, new):
+        bad = tmp_path / "bad.config"
+        bad.write_text(TINY_SWEEP.replace(old, new), encoding="utf-8")
+        out_csv = tmp_path / "never.csv"
+        assert main(["run", str(bad), "--out", str(out_csv)]) == 1
+        assert not out_csv.exists()
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
 
     def test_no_local_field_flag_changes_output(self, tmp_path):
         cfg_path = tmp_path / "bose.config"

@@ -282,3 +282,9 @@ class TestTolerances:
             NumericTolerances(series_cutoff=1.0)
         with pytest.raises(ValueError):
             NumericTolerances(max_iterations=0)
+
+    @pytest.mark.parametrize("field", ["rel_tol_quadrature", "rel_tol_root", "series_cutoff"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            NumericTolerances(**{field: bad})

@@ -7,7 +7,7 @@ import pytest
 from scipy.constants import c as c_light
 
 from slowlight.gas import GasSpec, Statistics, TrapGeometry, char_scales, make_profile
-from slowlight.numerics import DEFAULT_TOL
+from slowlight.numerics import DEFAULT_TOL, integrate_cylindrical
 from slowlight.optics import (
     PinholeError,
     ProbeParams,
@@ -85,6 +85,14 @@ class TestPolarizability:
     def test_zero_detuning_rejected(self):
         with pytest.raises(ZeroDetuningError):
             ProbeParams(OMEGA_0, GAMMA, 0.0, 7.5e-6)
+
+    @pytest.mark.parametrize("field", ["omega_0", "gamma", "delta", "pinhole_R", "k_L", "d_sq"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, field, bad):
+        fields = dict(omega_0=OMEGA_0, gamma=GAMMA, delta=10.0 * GAMMA, pinhole_R=7.5e-6)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=field):
+            ProbeParams(**fields)
 
     def test_near_resonance_warns(self):
         with pytest.warns(UserWarning):
@@ -215,6 +223,25 @@ class TestDelayTime:
             / (c_light * probe.delta * probe.pinhole_R**2) * shape
         )
         assert got == pytest.approx(expected, rel=1e-2)
+
+    @pytest.mark.parametrize("stat,reduced", [
+        (Statistics.FERMI, 0.3), (Statistics.BOSE, 0.5), (Statistics.BOSE, 1.5),
+        (Statistics.BOLTZMANN, 1.0),
+    ])
+    def test_linear_delay_matches_quadrature(self, na_cloud, stat, reduced):
+        # local field off: the closed-form column route against the
+        # quadrature of the excess slowness it replaces
+        spec, trap, s = na_cloud
+        gspec = GasSpec(stat, spec.n_atoms, spec.mass, spec.a_sc)
+        T = reduced * (s.T_F if stat is Statistics.FERMI else s.T_c)
+        probe = na_probe(local_field=False)
+        prof = make_profile(gspec, trap, T)
+        R = probe.pinhole_R
+        oracle = integrate_cylindrical(
+            lambda r, z: 1.0 / group_velocity_local(prof.at(r, z), probe) - 1.0 / c_light,
+            R, prof.z_cut, z_breakpoints=prof.z_breakpoints,
+        ) / (math.pi * R * R)
+        assert delay_time(gspec, trap, probe, T) == pytest.approx(oracle, rel=1e-8)
 
     def test_delay_positive_for_blue_detuning(self, na_cloud):
         spec, trap, s = na_cloud
