@@ -32,6 +32,7 @@ from .gas import (
     thermal_wavelength,
 )
 from .optics import (
+    LocalFieldPoleError,
     PinholeError,
     ProbeParams,
     PropagationResult,

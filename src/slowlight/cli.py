@@ -8,7 +8,7 @@ Fermi gas is requested).
 
 Outputs are a CSV table (one row per statistics and grid point) and an
 optional self-contained SVG line chart.  Runs are deterministic: the same
-config produces byte-identical CSV for any worker count.
+config produces byte-identical CSV on every run.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .gas import CharScales, GasSpec, Statistics, TrapGeometry, char_scales
-from .numerics import DEFAULT_TOL, NumericTolerances
 from .optics import ProbeParams, effective_group_velocity
 
 C_LIGHT = 2.99792458e8
@@ -66,7 +64,6 @@ class RunConfig:
     trap: TrapGeometry
     probe: ProbeParams
     sweep: SweepSpec
-    numerics: NumericTolerances
     scales: CharScales
     out_csv: str | None = None
     out_chart: str | None = None
@@ -107,8 +104,6 @@ _KNOWN_KEYS = {
     "probe.dipole_moment_sq",
     "sweep.axis", "sweep.start", "sweep.stop", "sweep.points", "sweep.scale",
     "sweep.statistics", "sweep.temperature",
-    "numerics.rel_tol_quadrature", "numerics.rel_tol_root",
-    "numerics.series_cutoff", "numerics.max_iterations",
     "output.csv", "output.chart",
 }
 
@@ -328,13 +323,6 @@ def parse_config(text: str) -> RunConfig:
     if axis == "temperature" and start <= 0.0:
         raise ConfigError("sweep.start: temperatures must be positive")
 
-    tol = NumericTolerances(
-        rel_tol_quadrature=e.number("numerics.rel_tol_quadrature", DEFAULT_TOL.rel_tol_quadrature),
-        rel_tol_root=e.number("numerics.rel_tol_root", DEFAULT_TOL.rel_tol_root),
-        series_cutoff=e.number("numerics.series_cutoff", DEFAULT_TOL.series_cutoff),
-        max_iterations=e.integer("numerics.max_iterations", DEFAULT_TOL.max_iterations),
-    )
-
     try:
         gas_spec = GasSpec(statistics=stat, n_atoms=n_atoms, mass=mass, a_sc=a_sc)
         trap = TrapGeometry(omega_r=2.0 * math.pi * freq, epsilon=epsilon)
@@ -353,7 +341,7 @@ def parse_config(text: str) -> RunConfig:
     )
     scales = char_scales(gas_spec, trap)
     return RunConfig(
-        gas=gas_spec, trap=trap, probe=probe, sweep=sweep, numerics=tol,
+        gas=gas_spec, trap=trap, probe=probe, sweep=sweep,
         scales=scales, out_csv=e.string("output.csv"), out_chart=e.string("output.chart"),
     )
 
@@ -372,41 +360,32 @@ def preset_text(name: str) -> str:
 
 
 def _sweep_point(config: RunConfig, stat: Statistics, x: float) -> SweepRow:
-    from dataclasses import replace as _replace
-
-    spec = _replace(config.gas, statistics=stat)
+    spec = replace(config.gas, statistics=stat)
     if config.sweep.axis == "temperature":
         T = x * config.temperature_unit
         probe = config.probe
     else:
         T = config.sweep.temperature * config.temperature_unit
         probe = config.probe.with_detuning(x * config.probe.gamma)
-    result = effective_group_velocity(spec, config.trap, probe, T, config.numerics)
+    result = effective_group_velocity(spec, config.trap, probe, T)
     return SweepRow(
         statistics=stat.value, x=x, L_m=result.L, t_d_s=result.t_d,
         v_g_mps=result.v_g_eff, transmission=result.transmission,
     )
 
 
-def run_sweep(config: RunConfig, threads: int = 1) -> list[SweepRow]:
+def run_sweep(config: RunConfig) -> list[SweepRow]:
     """Evaluate every (statistics, grid point); rows ordered by (statistics, x)."""
-    tasks = [
-        (stat, x) for stat in config.sweep.statistics_list for x in config.sweep.grid()
-    ]
-
-    def worker(task: tuple[Statistics, float]) -> SweepRow:
-        stat, x = task
-        try:
-            return _sweep_point(config, stat, x)
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep point failed at statistics={stat.value}, x={x:g}: {exc}"
-            ) from exc
-
-    if threads <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
+    rows = []
+    for stat in config.sweep.statistics_list:
+        for x in config.sweep.grid():
+            try:
+                rows.append(_sweep_point(config, stat, x))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"sweep point failed at statistics={stat.value}, x={x:g}: {exc}"
+                ) from exc
+    return rows
 
 
 def _format_value(value: float) -> str:
@@ -666,10 +645,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_p.add_argument("config", help="path to a section.key = value config file")
     run_p.add_argument("--out", help="CSV output path")
     run_p.add_argument("--chart", help="SVG chart output path")
-    run_p.add_argument("--no-local-field", action="store_true",
-                       help="disable the Lorentz-Lorenz correction")
-    run_p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker threads for sweep points (default 1)")
 
     scales_p = sub.add_parser("scales", help="print characteristic scales")
     scales_p.add_argument("config", help="path to a config file")
@@ -680,14 +655,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "scales":
             print(_format_scales(config))
             return 0
-        if args.no_local_field:
-            from dataclasses import replace as _replace
-
-            config = _replace(config, probe=config.probe.with_local_field(False))
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         print(_format_scales(config))
-        rows = run_sweep(config, threads=args.threads)
+        rows = run_sweep(config)
         out_csv = args.out or config.out_csv or (Path(args.config).stem + "_sweep.csv")
         write_csv(rows, out_csv)
         print(f"wrote {len(rows)} rows to {out_csv}")

@@ -248,7 +248,9 @@ class DensityProfile:
 
     Precomputes the chemical potential, wavelength, and amplitudes once so
     quadrature loops pay only for the local special-function call.  Pure
-    and safe to share across threads.
+    and safe to share across threads.  tf_radius is the radial edge of the
+    Thomas-Fermi part (the condensate, or the whole cloud at T = 0), where
+    the density kinks; 0 when there is none.
     """
 
     def __init__(
@@ -272,13 +274,13 @@ class DensityProfile:
             cloud_r = s.R_F if stats is Statistics.FERMI else s.R_B
             self.r_cut = 1.001 * cloud_r
             self.z_cut = self.r_cut / trap.epsilon
-            self._tf_radius = cloud_r
+            self.tf_radius = cloud_r
             return
         self._beta = 1.0 / (k_B * T)
         self._lam3 = thermal_wavelength(spec.mass, T) ** 3
         self._vcoef = 0.5 * spec.mass * trap.omega_r**2 * self._beta
         sigma_r = math.sqrt(k_B * T / (spec.mass * trap.omega_r**2))
-        self._tf_radius = 0.0
+        self.tf_radius = 0.0
         if stats is Statistics.FERMI:
             self._x0 = solve_mu_fermi(T, s, tol) * self._beta
             self.r_cut = 8.0 * max(s.R_F, sigma_r)
@@ -292,7 +294,7 @@ class DensityProfile:
                 # thermal amplitude scaled so the cloud holds N - N_0 atoms
                 self._kappa = (1.0 - point.condensate_fraction) / t**3
                 if point.mu > 0.0:
-                    self._tf_radius = math.sqrt(
+                    self.tf_radius = math.sqrt(
                         2.0 * point.mu / (spec.mass * trap.omega_r**2)
                     )
             self.r_cut = 8.0 * max(s.R_B, sigma_r)
@@ -323,7 +325,7 @@ class DensityProfile:
             return density_zero_T(self.spec, self.scales, r, z)
         v = self._vcoef * (r * r + self.trap.epsilon**2 * z * z)
         rho = self._ladder(1.5, v) / self._lam3
-        if self._tf_radius > 0.0:
+        if self.tf_radius > 0.0:
             local = self._mu - v / self._beta
             if local > 0.0:
                 rho += local * self._inv_U
@@ -342,10 +344,10 @@ class DensityProfile:
             # N R^2 / (8 eps^2) for the Fermi sphere, N R^2 / (7 eps^2) for
             # the condensate paraboloid
             shape = 8.0 if self.spec.statistics is Statistics.FERMI else 7.0
-            return self.spec.n_atoms * self._tf_radius**2 / (shape * eps**2)
+            return self.spec.n_atoms * self.tf_radius**2 / (shape * eps**2)
         a = self._vcoef
         moment = self._ladder(4.0) * (math.pi / a) ** 1.5 / (2.0 * a * eps**3 * self._lam3)
-        R_c = self._tf_radius
+        R_c = self.tf_radius
         if R_c > 0.0:
             moment += self._tf_curvature() * (8.0 * math.pi / 105.0) * R_c**7 / eps**3
         return moment
@@ -357,14 +359,14 @@ class DensityProfile:
         eps = self.trap.epsilon
         if self._zero_T:
             power = 3.0 if self.spec.statistics is Statistics.FERMI else 2.5
-            u2 = min(radius / self._tf_radius, 1.0) ** 2
+            u2 = min(radius / self.tf_radius, 1.0) ** 2
             return self.spec.n_atoms * _cap_fraction(u2, power)
         a = self._vcoef
         column = (
             (self._ladder(3.0) - self._ladder(3.0, a * radius * radius))
             * math.pi**1.5 / (eps * self._lam3 * a**1.5)
         )
-        R_c = self._tf_radius
+        R_c = self.tf_radius
         if R_c > 0.0:
             u2 = min(radius / R_c, 1.0) ** 2
             column += (
@@ -382,7 +384,7 @@ class DensityProfile:
 
     def z_breakpoints(self, r: float):
         """Axial kink positions of the integrand at radius r (condensate edge)."""
-        R = self._tf_radius
+        R = self.tf_radius
         if R <= 0.0 or r >= R:
             return ()
         return (math.sqrt(R * R - r * r) / self.trap.epsilon,)

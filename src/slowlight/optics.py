@@ -63,6 +63,11 @@ class ZeroDelayError(ValueError):
     """Delay time vanished where a finite value was required."""
 
 
+class LocalFieldPoleError(ValueError):
+    """The Lorentz-Lorenz denominator 1 - (4 pi / 3) alpha rho vanishes
+    inside the cloud."""
+
+
 @dataclass(frozen=True)
 class ProbeParams:
     """Probe definition: resonance, linewidth, detuning, pinhole."""
@@ -97,9 +102,6 @@ class ProbeParams:
 
     def with_detuning(self, delta: float) -> "ProbeParams":
         return replace(self, delta=delta)
-
-    def with_local_field(self, flag: bool) -> "ProbeParams":
-        return replace(self, local_field_on=flag)
 
 
 @dataclass(frozen=True)
@@ -209,11 +211,21 @@ def _delay_of_profile(
         K = 2.0 * math.pi * probe.omega_0 * polarizability(probe) / (probe.delta * c_light)
         return K * prof.pinhole_column(R) / (math.pi * R * R)
 
+    # the density peaks at the trap centre, so 1 - (4 pi / 3) alpha rho stays
+    # positive throughout the cloud exactly when it does there
+    x_peak = (4.0 * math.pi / 3.0) * polarizability(probe) * prof.peak()
+    if x_peak >= 1.0:
+        raise LocalFieldPoleError(
+            f"local-field pole: x_peak = (4 pi/3) alpha rho(0, 0) = {x_peak:.6g} >= 1; "
+            "x_peak grows with gas.atom_count and falls with probe.detuning_gamma"
+        )
+
     def excess(r: float, z: float) -> float:
         return 1.0 / group_velocity_local(prof.at(r, z), probe) - 1.0 / c_light
 
     total = integrate_cylindrical(
-        excess, R, prof.z_cut, tol, z_breakpoints=prof.z_breakpoints
+        excess, R, prof.z_cut, tol, z_breakpoints=prof.z_breakpoints,
+        r_breakpoints=(prof.tf_radius,),
     )
     return total / (math.pi * R * R)
 
@@ -236,7 +248,8 @@ def _transmission_of_profile(
 
     z_half = min(0.5 * L, prof.z_cut)
     integral = integrate_cylindrical(
-        absorptive, R, z_half, tol, z_breakpoints=prof.z_breakpoints
+        absorptive, R, z_half, tol, z_breakpoints=prof.z_breakpoints,
+        r_breakpoints=(prof.tf_radius,),
     )
     alpha_T = -2.0 * probe.omega_0 / c_light * integral / (math.pi * R * R)
     return math.exp(alpha_T)

@@ -78,6 +78,8 @@ class TestParseConfig:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*gas.flavour"):
             parse_config("\ngas.flavour = up\n")
+        with pytest.raises(ConfigError, match="line 3.*numerics.series_cutoff"):
+            parse_config("\n\nnumerics.series_cutoff = 0.2\n")
 
     def test_duplicate_key_rejected(self):
         text = TINY_SWEEP + "\nsweep.points = 4\n"
@@ -148,10 +150,6 @@ class TestRunSweep:
         for r in rows:
             assert r.v_g_mps == pytest.approx(2.99792458e8, rel=1e-3)
             assert r.transmission == pytest.approx(1.0, abs=1e-6)
-
-    def test_thread_count_does_not_change_rows(self):
-        cfg = parse_config(TINY_SWEEP)
-        assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=3)
 
 
 class TestCsv:
@@ -291,11 +289,25 @@ class TestCommandLine:
                                   "gas.statistics        = bose")
         text += "gas.scattering_length = 2.75 nm\n"
         cfg_path.write_text(text, encoding="utf-8")
+        off_path = tmp_path / "bose_off.config"
+        off_path.write_text(text + "probe.local_field = off\n", encoding="utf-8")
         a = tmp_path / "lf_on.csv"
         b = tmp_path / "lf_off.csv"
         assert main(["run", str(cfg_path), "--out", str(a)]) == 0
-        assert main(["run", str(cfg_path), "--out", str(b), "--no-local-field"]) == 0
+        assert main(["run", str(off_path), "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_local_field_pole_exits_nonzero_naming_x_peak(self, tmp_path, capsys):
+        bad = tmp_path / "pole.config"
+        text = TINY_SWEEP.replace("gas.statistics        = boltzmann",
+                                  "gas.statistics        = bose")
+        text = text.replace("= 1e5", "= 3e9").replace("= 20", "= 3")
+        bad.write_text(text + "gas.scattering_length = 2.75 nm\n", encoding="utf-8")
+        out_csv = tmp_path / "never.csv"
+        assert main(["run", str(bad), "--out", str(out_csv)]) == 1
+        assert not out_csv.exists()
+        err = capsys.readouterr().err
+        assert "x_peak" in err and "gas.atom_count" in err
 
     def test_console_script_subprocess(self, tmp_path):
         cfg = self.write_config(tmp_path)

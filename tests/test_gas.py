@@ -335,9 +335,9 @@ class TestDensityProfiles:
 class TestClosedFormMoments:
     """The ladder closed forms against the quadrature oracle, to the default
     quadrature tolerance (1e-8 relative).  The oracle itself runs ten times
-    tighter: at the default tolerance its error estimate misses the kink of
-    the outer integrand at the condensate edge (the Bose moment is 4.5e-8 off
-    at 0.926 T_c, 3.5e-12 at the tighter tolerance)."""
+    tighter and breaks the outer integral at the condensate edge R_c, where
+    QUADPACK's error estimate misses the kink otherwise (a pinhole column
+    at 0.681 T_c, wider than R_c, came out 3.6e-7 off without the break)."""
 
     ORACLE_TOL = NumericTolerances(rel_tol_quadrature=1e-9)
 
@@ -352,12 +352,14 @@ class TestClosedFormMoments:
     @example(stat=Statistics.BOSE, reduced=0.5)   # condensate plus thermal cloud
     @example(stat=Statistics.BOSE, reduced=0.97)  # saturated, no condensate
     @example(stat=Statistics.BOSE, reduced=1.5)   # fugacity below one
+    @example(stat=Statistics.BOSE, reduced=0.021484375)  # tail underflows far out
     @settings(max_examples=20, deadline=None)
     def test_axial_moment(self, na_cloud, stat, reduced):
         prof = self.profile(na_cloud, stat, reduced)
         oracle = integrate_cylindrical(
             lambda r, z: z * z * prof.at(r, z), prof.r_cut, prof.z_cut,
             self.ORACLE_TOL, z_breakpoints=prof.z_breakpoints,
+            r_breakpoints=(prof.tf_radius,),
         )
         assert prof.axial_moment() == pytest.approx(oracle, rel=1e-8)
 
@@ -369,6 +371,8 @@ class TestClosedFormMoments:
     @example(stat=Statistics.FERMI, reduced=0.05, log_aR2=-5.0)
     @example(stat=Statistics.BOSE, reduced=0.5, log_aR2=-5.0)
     @example(stat=Statistics.BOSE, reduced=0.5, log_aR2=1.0)  # wider than the condensate
+    @example(stat=Statistics.BOSE, reduced=0.6808683036982737, log_aR2=0.6808683036982737)
+    @example(stat=Statistics.BOSE, reduced=0.71875, log_aR2=-4.4375)  # round-off flagged
     @example(stat=Statistics.BOSE, reduced=1.5, log_aR2=-5.0)
     @example(stat=Statistics.BOLTZMANN, reduced=1.0, log_aR2=-5.0)
     @settings(max_examples=30, deadline=None)
@@ -385,9 +389,22 @@ class TestClosedFormMoments:
         radius = math.sqrt(10.0**log_aR2 * k_B * prof.T
                            / (0.5 * prof.spec.mass * prof.trap.omega_r**2))
         oracle = integrate_cylindrical(
-            prof.at, radius, prof.z_cut, self.ORACLE_TOL, z_breakpoints=prof.z_breakpoints
+            prof.at, radius, prof.z_cut, self.ORACLE_TOL, z_breakpoints=prof.z_breakpoints,
+            r_breakpoints=(prof.tf_radius,),
         )
         assert prof.pinhole_column(radius) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("reduced", [0.918, 0.9263, 0.937])
+    def test_condensate_edge_breakpoint(self, na_cloud, reduced):
+        # without the breakpoint at R_c the default tolerance's error estimate
+        # misses the kink: 7e-6 off at 0.918 T_c, 4.4e-8 at 0.9263 T_c
+        prof = self.profile(na_cloud, Statistics.BOSE, reduced)
+        assert 0.0 < prof.tf_radius < prof.r_cut
+        moment = integrate_cylindrical(
+            lambda r, z: z * z * prof.at(r, z), prof.r_cut, prof.z_cut,
+            z_breakpoints=prof.z_breakpoints, r_breakpoints=(prof.tf_radius,),
+        )
+        assert prof.axial_moment() == pytest.approx(moment, rel=1e-8)
 
     @pytest.mark.parametrize("stat", [Statistics.FERMI, Statistics.BOSE])
     @pytest.mark.parametrize("u2", [1e-5, 1e-2, 0.25, 1.0])
@@ -397,11 +414,13 @@ class TestClosedFormMoments:
         moment = integrate_cylindrical(
             lambda r, z: z * z * prof.at(r, z), prof.r_cut, prof.z_cut,
             self.ORACLE_TOL, z_breakpoints=prof.z_breakpoints,
+            r_breakpoints=(prof.tf_radius,),
         )
         assert prof.axial_moment() == pytest.approx(moment, rel=1e-8)
         radius = math.sqrt(u2) * cloud
         column = integrate_cylindrical(
-            prof.at, radius, prof.z_cut, self.ORACLE_TOL, z_breakpoints=prof.z_breakpoints
+            prof.at, radius, prof.z_cut, self.ORACLE_TOL, z_breakpoints=prof.z_breakpoints,
+            r_breakpoints=(prof.tf_radius,),
         )
         assert prof.pinhole_column(radius) == pytest.approx(column, rel=1e-8)
 

@@ -1,6 +1,7 @@
 """Special functions, quadrature, and root finding."""
 
 import math
+import warnings
 
 import mpmath as mp
 import pytest
@@ -11,6 +12,7 @@ from slowlight.numerics import (
     DEFAULT_TOL,
     BracketError,
     DomainError,
+    NonConvergenceError,
     NumericTolerances,
     SOMMERFELD_SWITCH,
     fermi_dirac_f,
@@ -189,6 +191,11 @@ class TestIntegrate1d:
         with pytest.raises(DomainError):
             integrate_1d(lambda x: x, 1.0, 0.0)
 
+    def test_non_convergence_names_interval(self):
+        message = r"\[0\.0, 1\.0\]: The maximum number of subdivisions"
+        with pytest.raises(NonConvergenceError, match=message):
+            integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
+
     def test_tolerance_refinement(self):
         loose = NumericTolerances(rel_tol_quadrature=1e-6)
         tight = NumericTolerances(rel_tol_quadrature=5e-7)
@@ -228,6 +235,17 @@ class TestIntegrateCylindrical:
         got = integrate_cylindrical(f, 1.0, 1.5, z_breakpoints=breaks)
         # int over unit ball of (1 - rho^2) = 8 pi / 15
         assert got == pytest.approx(8.0 * math.pi / 15.0, rel=1e-9)
+
+    def test_emits_no_warning(self):
+        # a kink at the condensate-like edge r = 1, with and without the hint
+        f = lambda r, z: max(0.0, 1.0 - r * r) + math.exp(-r * r - z * z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = integrate_cylindrical(f, 3.0, 3.0)
+            b = integrate_cylindrical(f, 3.0, 3.0, r_breakpoints=(1.0, 5.0))
+        exact = math.pi * 3.0 + math.pi * -math.expm1(-9.0) * math.sqrt(math.pi) * math.erf(3.0)
+        assert b == pytest.approx(exact, rel=1e-9)
+        assert a == pytest.approx(exact, rel=1e-6)
 
     def test_halving_tolerance_stays_within_previous_estimate(self):
         f = lambda r, z: math.exp(-r * r - z * z) * (1.0 + 0.5 * math.cos(3.0 * z))

@@ -9,6 +9,7 @@ from scipy.constants import c as c_light
 from slowlight.gas import GasSpec, Statistics, TrapGeometry, char_scales, make_profile
 from slowlight.numerics import DEFAULT_TOL, integrate_cylindrical
 from slowlight.optics import (
+    LocalFieldPoleError,
     PinholeError,
     ProbeParams,
     ZeroDetuningError,
@@ -54,6 +55,7 @@ class HomogeneousSlab:
         self.rho = rho
         self.z_cut = half_len
         self.r_cut = r_cut
+        self.tf_radius = 0.0
 
     def at(self, r, z):
         return self.rho if abs(z) <= self.z_cut and r <= self.r_cut else 0.0
@@ -242,6 +244,21 @@ class TestDelayTime:
             R, prof.z_cut, z_breakpoints=prof.z_breakpoints,
         ) / (math.pi * R * R)
         assert delay_time(gspec, trap, probe, T) == pytest.approx(oracle, rel=1e-8)
+
+    def test_local_field_pole_rejected_before_integrating(self, na_cloud):
+        # (4 pi / 3) alpha rho(0, 0) = 1.52 for N = 3e9 at 3 gamma, 0.5 T_c
+        spec, trap, _ = na_cloud
+        dense = GasSpec(Statistics.BOSE, 3e9, spec.mass, spec.a_sc)
+        T = 0.5 * char_scales(dense, trap).T_c
+        with pytest.raises(LocalFieldPoleError, match=r"x_peak .* = 1\.522\d* >= 1.*gas\.atom_count"):
+            delay_time(dense, trap, na_probe(3.0), T)
+        assert delay_time(dense, trap, na_probe(3.0, local_field=False), T) > 0.0
+        probe = na_probe()
+        rho_pole = 1.0 / ((4.0 * math.pi / 3.0) * polarizability(probe))
+        with pytest.raises(LocalFieldPoleError):
+            _delay_of_profile(HomogeneousSlab(1.01 * rho_pole, 25e-6, 1e-4), probe, DEFAULT_TOL)
+        slab = HomogeneousSlab(0.99 * rho_pole, 25e-6, 1e-4)
+        assert _delay_of_profile(slab, probe, DEFAULT_TOL) > 0.0
 
     def test_delay_positive_for_blue_detuning(self, na_cloud):
         spec, trap, s = na_cloud
