@@ -25,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import c as C_LIGHT
 from .gas import CharScales, GasSpec, Statistics, TrapGeometry, char_scales
 from .optics import ProbeParams, effective_group_velocity
 
-C_LIGHT = 2.99792458e8
 CSV_HEADER = "statistics,x,L_m,t_d_s,v_g_mps,transmission"
 
 

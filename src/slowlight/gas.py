@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from scipy.constants import hbar, h as planck_h, k as k_B
-
+from .constants import h as planck_h, hbar, k_B
 from .numerics import (
     DEFAULT_TOL,
     NumericTolerances,

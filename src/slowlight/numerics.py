@@ -16,6 +16,12 @@ and for f_nu(e^x):
   * x >= 20                       Sommerfeld asymptotic expansion
 The branches overlap to well below the working tolerances; tests pin the
 agreement windows.
+
+Riemann zeta comes from the same Euler-Maclaurin sum as the Hurwitz
+inversion (s >= 1/2) and the functional equation (s < 1/2).  Quadrature is
+an adaptive 21-point Gauss-Kronrod rule with QUADPACK's error estimate
+(Piessens et al. 1983) and roots come from Brent's bracketing method
+(Brent 1973), both in plain Python; scipy serves only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +31,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy import integrate, optimize
-from scipy.special import zeta as _scipy_zeta
 
 
 class DomainError(ValueError):
@@ -85,17 +88,43 @@ _B2K = (  # Bernoulli numbers B_2, B_4, ..., B_24
 _EM_TERMS = len(_B2K)
 _EM_OFFSET = 20
 
-# eta(2k) = (1 - 2^{1-2k}) zeta(2k), k = 1..12, for Sommerfeld coefficients
-_ETA_EVEN = tuple(
-    (1.0 - 2.0 ** (1 - 2 * k)) * float(_scipy_zeta(2 * k)) for k in range(1, 13)
-)
+
+def _hurwitz_zeta(s: float, a: complex) -> complex:
+    # Euler-Maclaurin; valid for the real s < 1 with Re a = 1/2 of the
+    # Fermi-Dirac inversion and for s >= 1/2 with a = 1 (Riemann zeta).
+    acc = complex(0.0)
+    for n in range(_EM_OFFSET):
+        acc += (a + n) ** (-s)
+    t = a + _EM_OFFSET
+    acc += t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** (-s)
+    poch = s  # rising factorial (s)_{2j-1}
+    for j in range(1, _EM_TERMS + 1):
+        acc += _B2K[j - 1] / math.factorial(2 * j) * poch * t ** (1.0 - s - 2 * j)
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+    return acc
 
 
 def riemann_zeta(s: float) -> float:
-    """Riemann zeta at real s != 1."""
+    """Riemann zeta at real s != 1: the Euler-Maclaurin sum for s >= 1/2,
+    the functional equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
+    zeta(1-s) below, exact at the zeros s = -2, -4, ... and at s = 0."""
     if s == 1.0:
         raise DomainError("zeta has a pole at s = 1")
-    return float(_scipy_zeta(s))
+    if s >= 0.5:
+        return _hurwitz_zeta(s, 1).real
+    if s == 0.0:
+        return -0.5
+    if s < 0.0 and s % 2.0 == 0.0:
+        return 0.0
+    # sin(pi s / 2) with the argument reduced exactly to (-2 pi, 2 pi)
+    sine = math.sin(math.pi * math.fmod(0.5 * s, 2.0))
+    return (
+        2.0**s * math.pi ** (s - 1.0) * sine * math.gamma(1.0 - s) * riemann_zeta(1.0 - s)
+    )
+
+
+# eta(2k) = (1 - 2^{1-2k}) zeta(2k), k = 1..12, for Sommerfeld coefficients
+_ETA_EVEN = tuple((1.0 - 2.0 ** (1 - 2 * k)) * riemann_zeta(2 * k) for k in range(1, 13))
 
 
 def _is_integer(s: float) -> bool:
@@ -123,7 +152,7 @@ def _lnz_coefficients(s: float, kmax: int) -> tuple[float, ...]:
         if k:
             fact *= k
         u = s - k
-        coeffs.append(0.0 if u == 1.0 else float(_scipy_zeta(u)) / fact)
+        coeffs.append(0.0 if u == 1.0 else riemann_zeta(u) / fact)
     return tuple(coeffs)
 
 
@@ -157,20 +186,6 @@ def _polylog_near_one(s: float, z: float) -> float:
     for c in coeffs:
         acc += c * muk
         muk *= mu
-    return acc
-
-
-def _hurwitz_zeta(s: float, a: complex) -> complex:
-    # Euler-Maclaurin; valid for the real s < 1 and Re a = 1/2 used here.
-    acc = complex(0.0)
-    for n in range(_EM_OFFSET):
-        acc += (a + n) ** (-s)
-    t = a + _EM_OFFSET
-    acc += t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** (-s)
-    poch = s  # rising factorial (s)_{2j-1}
-    for j in range(1, _EM_TERMS + 1):
-        acc += _B2K[j - 1] / math.factorial(2 * j) * poch * t ** (1.0 - s - 2 * j)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
     return acc
 
 
@@ -273,11 +288,71 @@ def fermi_dirac_sommerfeld(nu: float, x: float) -> float:
     return _fd_sommerfeld(nu, x)
 
 
-# A result QUADPACK flags (non-zero status, typically round-off in the
-# integrand) is kept while its error estimate stays within this factor of
-# the requested tolerance, or below the smallest normal float where the
-# integrand has underflowed; the final integrals then still meet their
-# tolerance (checked against the closed-form moments in the tests).
+# QUADPACK's qk21 rule (Piessens et al. 1983): the 21 Kronrod abscissae on
+# [-1, 1] come as the centre and the pairs +-_XGK[j]; the pairs with odd j
+# are the nodes of the embedded 10-point Gauss rule, whose weights _WG holds
+# at the same index (0 at the Kronrod-only nodes).
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208067952149, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+)
+_WGK_CENTRE = 0.149445554002916905664936468389821
+_WG = (
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+
+def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod panel: the integral over [a, b] and QUADPACK's error
+    estimate, |Kronrod - Gauss| scaled by the integrand's variation and
+    floored at 50 machine epsilons of the integral of |f|."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    f_centre = f(centre)
+    lower = [f(centre - half * x) for x in _XGK]
+    upper = [f(centre + half * x) for x in _XGK]
+    kronrod = _WGK_CENTRE * f_centre
+    gauss = 0.0
+    res_abs = abs(kronrod)
+    for wk, wg, lo, hi in zip(_WGK, _WG, lower, upper):
+        pair = lo + hi
+        kronrod += wk * pair
+        gauss += wg * pair
+        res_abs += wk * (abs(lo) + abs(hi))
+    mean = 0.5 * kronrod
+    res_asc = _WGK_CENTRE * abs(f_centre - mean)
+    for wk, lo, hi in zip(_WGK, lower, upper):
+        res_asc += wk * (abs(lo - mean) + abs(hi - mean))
+    width = abs(half)
+    res_abs *= width
+    res_asc *= width
+    err = abs((kronrod - gauss) * half)
+    if res_asc != 0.0 and err != 0.0:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    if res_abs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * res_abs, err)
+    return kronrod * half, err
+
+
+# A result that misses the tolerance when the panel budget runs out (typically
+# round-off in the integrand) is kept while its error estimate stays within
+# this factor of the requested tolerance, or below the smallest normal float
+# where the integrand has underflowed; the final integrals then still meet
+# their tolerance (checked against the closed-form moments in the tests).
 _FLAGGED_SLACK = 10.0
 
 
@@ -288,20 +363,31 @@ def _quad(
     tol: NumericTolerances,
     points: Sequence[float] | None,
 ) -> tuple[float, float]:
-    pts = None
-    if points:
-        pts = sorted(p for p in points if a < p < b)
-        pts = pts or None
-    val, err, _, *message = integrate.quad(
-        f, a, b, epsabs=0.0, epsrel=tol.rel_tol_quadrature,
-        limit=max(tol.max_iterations, 50), points=pts, full_output=1,
-    )
-    # QUADPACK appends a message only for a non-zero status
-    bound = max(_FLAGGED_SLACK * tol.rel_tol_quadrature * abs(val), sys.float_info.min)
-    if message and err > bound:
-        raise NonConvergenceError(
-            f"quadrature failed on [{a}, {b}]: {' '.join(message[0].split())}"
-        )
+    # Globally adaptive: the breakpoints cut the first panels, then the panel
+    # with the largest error estimate is bisected until the summed estimate
+    # meets the tolerance or the budget of panels is spent.
+    edges = [a, *sorted({p for p in points or () if a < p < b}), b]
+    panels = [[lo, hi, *_qk21(f, lo, hi)] for lo, hi in zip(edges, edges[1:])]
+    limit = max(tol.max_iterations, 50)
+    while True:
+        val = math.fsum(p[2] for p in panels)
+        err = math.fsum(p[3] for p in panels)
+        if err <= tol.rel_tol_quadrature * abs(val):
+            return val, err
+        if len(panels) >= limit:
+            message = f"The maximum number of subdivisions ({limit}) has been achieved."
+            break
+        worst = max(panels, key=lambda p: p[3])
+        lo, hi = worst[0], worst[1]
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            message = "The panel with the largest error cannot be bisected further."
+            break
+        worst[1:] = [mid, *_qk21(f, lo, mid)]
+        panels.append([mid, hi, *_qk21(f, mid, hi)])
+    bound = max(_FLAGGED_SLACK * tol.rel_tol_quadrature * abs(val), _TINY)
+    if err > bound:
+        raise NonConvergenceError(f"quadrature failed on [{a}, {b}]: {message}")
     return val, err
 
 
@@ -328,11 +414,15 @@ def integrate_cylindrical(
 ) -> float:
     """integral_0^r_max 2 pi r dr integral_{-z_max}^{z_max} dz f(r, z).
 
-    Azimuthal symmetry assumed.  The inner integral runs a factor tighter
-    than the outer so the nesting does not eat the requested tolerance.
-    z_breakpoints(r) may flag integrand kinks (e.g. a condensate surface),
-    r_breakpoints the radii where the column integral kinks (the condensate
-    edge); points outside (0, r_max) are ignored.
+    Azimuthal symmetry and mirror symmetry f(r, -z) = f(r, z) are assumed
+    (true of every density in a harmonic trap), so the inner integral runs
+    over [0, z_max] and is doubled; a kink on the plane z = 0, such as the
+    on-axis cusp of a saturated Bose cloud, then sits at a panel edge.  The
+    inner integral runs a factor tighter than the outer so the nesting does
+    not eat the requested tolerance.  z_breakpoints(r) may flag the positive
+    axial kinks of the integrand (e.g. a condensate surface), r_breakpoints
+    the radii where the column integral kinks (the condensate edge); points
+    outside (0, r_max) and (0, z_max) are ignored.
     """
     if r_max <= 0.0 or z_max <= 0.0:
         raise DomainError("r_max and z_max must be positive")
@@ -344,12 +434,9 @@ def integrate_cylindrical(
     )
 
     def column(r: float) -> float:
-        pts: list[float] = []
-        if z_breakpoints is not None:
-            for p in z_breakpoints(r):
-                pts.extend((-p, p))
-        val, _ = _quad(lambda z: f(r, z), -z_max, z_max, inner_tol, pts)
-        return 2.0 * math.pi * r * val
+        pts = z_breakpoints(r) if z_breakpoints is not None else None
+        val, _ = _quad(lambda z: f(r, z), 0.0, z_max, inner_tol, pts)
+        return 4.0 * math.pi * r * val
 
     return _quad(column, 0.0, r_max, tol, r_breakpoints)[0]
 
@@ -360,7 +447,12 @@ def find_root(
     hi: float,
     tol: NumericTolerances = DEFAULT_TOL,
 ) -> float:
-    """Root of a monotone f on a bracketing interval [lo, hi]."""
+    """Root of a monotone f on a bracketing interval [lo, hi].
+
+    Brent's method (Brent 1973) step for step as scipy's brentq takes it:
+    inverse quadratic or secant steps while they shrink the bracket fast
+    enough, bisection otherwise, to a relative tolerance rel_tol_root.
+    """
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
@@ -372,10 +464,37 @@ def find_root(
         raise BracketError(
             f"f({lo})={flo} and f({hi})={fhi} do not bracket a root"
         )
-    return float(
-        optimize.brentq(
-            f, lo, hi,
-            xtol=1e-300, rtol=max(tol.rel_tol_root, 4e-16),
-            maxiter=tol.max_iterations,
-        )
+    rtol = max(tol.rel_tol_root, 4e-16)
+    x_pre, x_cur, f_pre, f_cur = lo, hi, flo, fhi
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(tol.max_iterations):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (1e-300 + rtol * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = None
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+        if s_try is not None and 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = f(x_cur)
+    raise NonConvergenceError(
+        f"no root found on [{lo}, {hi}] in {tol.max_iterations} iterations"
     )

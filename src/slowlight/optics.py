@@ -33,8 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from scipy.constants import c as c_light, hbar
-
+from .constants import c as c_light, hbar
 from .gas import (
     CharScales,
     GasSpec,

@@ -317,3 +317,17 @@ class TestCommandLine:
         )
         assert result.returncode == 0
         assert "a_r" in result.stdout
+
+    def test_run_path_imports_no_scipy(self):
+        # scipy is a test dependency only; importing the CLI and working
+        # out the scales of a preset must not load any of it
+        script = (
+            "import os, sys\n"
+            "from slowlight import cli\n"
+            "preset = os.path.join(os.path.dirname(cli.__file__), 'presets', 'fig1.preset')\n"
+            "assert cli.main(['scales', preset]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"

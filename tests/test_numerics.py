@@ -7,6 +7,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import zeta as scipy_zeta
 
 from slowlight.numerics import (
     DEFAULT_TOL,
@@ -196,6 +198,17 @@ class TestIntegrate1d:
         with pytest.raises(NonConvergenceError, match=message):
             integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
 
+    @pytest.mark.parametrize("f,a,b,points", [
+        (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 4.0, None),
+        (lambda x: math.sqrt(x) * math.log1p(x), 0.0, 3.0, None),
+        (lambda x: 1.0 / (1.0 + 100.0 * (x - 0.7) ** 2), -1.0, 2.0, None),
+        (lambda x: abs(x - 0.3) + max(0.0, 1.0 - x * x) ** 1.5, -2.0, 2.0, (0.3, -1.0, 1.0)),
+        (lambda x: max(0.0, 0.5 - x) ** 0.5 * math.exp(x), 0.0, 2.0, (0.5, 7.0)),
+    ])
+    def test_matches_scipy_quad(self, f, a, b, points):
+        expected, _ = quad(f, a, b, epsabs=0.0, epsrel=1e-10, points=points, limit=400)
+        assert integrate_1d(f, a, b, points=points) == pytest.approx(expected, rel=1e-8)
+
     def test_tolerance_refinement(self):
         loose = NumericTolerances(rel_tol_quadrature=1e-6)
         tight = NumericTolerances(rel_tol_quadrature=5e-7)
@@ -257,6 +270,30 @@ class TestIntegrateCylindrical:
 
 
 class TestFindRoot:
+    BRENTQ = dict(xtol=1e-300, rtol=DEFAULT_TOL.rel_tol_root, maxiter=DEFAULT_TOL.max_iterations)
+
+    @pytest.mark.parametrize("reduced", [0.05, 0.3, 1.0, 3.0])
+    def test_fermi_mu_root_matches_brentq(self, reduced):
+        # the root solve_mu_fermi takes: f_3(e^x) = (T_F/T)^3 / 6
+        target = 1.0 / (6.0 * reduced**3)
+        f = lambda x: fermi_dirac_f(3.0, x) - target
+        lo, hi = -10.0 - 3.0 * math.log(6.0 * reduced**3), 10.0 + 1.0 / reduced
+        assert find_root(f, lo, hi) == pytest.approx(brentq(f, lo, hi, **self.BRENTQ), rel=1e-15)
+
+    @pytest.mark.parametrize("reduced", [1.001, 1.2, 2.0, 5.0])
+    def test_bose_fugacity_root_matches_brentq(self, reduced):
+        # the root mu_bose takes above T_c: Li_3(z) = zeta(3) (T_c/T)^3
+        target = riemann_zeta(3.0) / reduced**3
+        f = lambda z: polylog(3.0, z) - target
+        expected = brentq(f, 1e-300, 1.0, **self.BRENTQ)
+        assert find_root(f, 1e-300, 1.0) == pytest.approx(expected, rel=1e-15)
+
+    def test_exhausted_iteration_budget_raises(self):
+        f = lambda x: math.cos(x) - x
+        assert find_root(f, 0.0, 1.0) == pytest.approx(0.7390851332151607, rel=1e-12)
+        with pytest.raises(NonConvergenceError, match="3 iterations"):
+            find_root(f, 0.0, 1.0, NumericTolerances(max_iterations=3))
+
     def test_linear(self):
         assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
 
@@ -290,6 +327,39 @@ class TestFindRoot:
         base = find_root(f, -2.0, 2.0)
         scaled = find_root(lambda x: scale * f(x), -2.0, 2.0)
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-13)
+
+
+# the orders the package evaluates zeta at: the polylog orders, the even
+# integers of the Sommerfeld coefficients and the near-one coefficients
+# zeta(s - k), k <= 24
+ZETA_ARGS = sorted(
+    {0.5, 0.75, 1.5, 2.5, 3.0, 4.0}
+    | {2.0 * k for k in range(1, 13)}
+    | {s - k for s in (1.5, 2.5, 3.0, 4.0) for k in range(25)}
+    - {1.0}
+)
+
+
+class TestRiemannZeta:
+    @pytest.mark.parametrize("s", ZETA_ARGS)
+    def test_against_mpmath_and_scipy(self, s):
+        exact = float(mp.zeta(s))
+        got = riemann_zeta(s)
+        if exact == 0.0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(exact, rel=1e-14)
+            assert got == pytest.approx(float(scipy_zeta(s)), rel=1e-14)
+
+    def test_exact_values(self):
+        assert riemann_zeta(0.0) == -0.5
+        assert riemann_zeta(-1.0) == pytest.approx(-1.0 / 12.0, rel=1e-15)
+        for n in range(1, 13):
+            assert riemann_zeta(-2.0 * n) == 0.0
+
+    def test_pole(self):
+        with pytest.raises(DomainError):
+            riemann_zeta(1.0)
 
 
 class TestTolerances:

@@ -245,6 +245,23 @@ class TestDelayTime:
         ) / (math.pi * R * R)
         assert delay_time(gspec, trap, probe, T) == pytest.approx(oracle, rel=1e-8)
 
+    def test_saturated_bose_on_axis_cusp(self, na_cloud):
+        # between t* = 0.947 T_c and T_c the Bose cloud has no condensate and
+        # g_{3/2}(e^{-v}) has a cusp on the plane z = 0; a 2 um pinhole makes
+        # the columns near the axis feel it, and the z integral from -z_max
+        # used to raise NonConvergenceError there
+        spec, trap, s = na_cloud
+        T = 0.97 * s.T_c
+        probe = na_probe(pinhole=2e-6)
+        prof = make_profile(spec, trap, T)
+        assert prof.tf_radius == 0.0
+        R = probe.pinhole_R
+        column = integrate_cylindrical(prof.at, R, prof.z_cut, z_breakpoints=prof.z_breakpoints)
+        assert column == pytest.approx(prof.pinhole_column(R), rel=1e-10)
+        linear = delay_time(spec, trap, na_probe(pinhole=2e-6, local_field=False), T)
+        # the local field adds 0.3 per cent at this density
+        assert 1.0 < delay_time(spec, trap, probe, T) / linear < 1.01
+
     def test_local_field_pole_rejected_before_integrating(self, na_cloud):
         # (4 pi / 3) alpha rho(0, 0) = 1.52 for N = 3e9 at 3 gamma, 0.5 T_c
         spec, trap, _ = na_cloud
