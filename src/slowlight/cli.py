@@ -23,8 +23,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .constants import c as C_LIGHT
 from .gas import CharScales, GasSpec, Statistics, TrapGeometry, char_scales
 from .optics import ProbeParams, effective_group_velocity
@@ -51,11 +49,14 @@ class SweepSpec:
     temperature: float | None = None  # reduced T, required for detuning sweeps
 
     def grid(self) -> list[float]:
-        if self.scale == "log":
-            values = np.geomspace(self.start, self.stop, self.points)
-        else:
-            values = np.linspace(self.start, self.stop, self.points)
-        return [float(v) for v in values]
+        # numpy's linspace/geomspace arithmetic: start + i*step with the
+        # last point exactly stop; the log grid is that in log10, with
+        # both endpoints exact
+        log = self.scale == "log"
+        lo, hi = (math.log10(self.start), math.log10(self.stop)) if log else (self.start, self.stop)
+        step = (hi - lo) / (self.points - 1)
+        inner = [lo + i * step for i in range(1, self.points - 1)]
+        return [self.start, *(10.0**v if log else v for v in inner), self.stop]
 
 
 @dataclass(frozen=True)
@@ -498,9 +499,7 @@ def emit_chart(
     rows: Sequence[SweepRow],
     path: str | os.PathLike,
     y_field: str = "v_g_mps",
-    log_y: bool | None = None,
     x_label: str = "x",
-    y_label: str | None = None,
 ) -> None:
     """Standalone SVG line chart, one polyline per statistics.
 
@@ -509,10 +508,8 @@ def emit_chart(
     """
     if not rows:
         raise ValueError("emit_chart needs at least one row")
-    if log_y is None:
-        log_y = y_field == "v_g_mps"
-    if y_label is None:
-        y_label = "v_g (m/s)" if y_field == "v_g_mps" else "transmission"
+    log_y = y_field == "v_g_mps"
+    y_label = "v_g (m/s)" if log_y else "transmission"
 
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:

@@ -259,10 +259,7 @@ def _fd_integer(n: int, x: float, tol: NumericTolerances) -> float:
     if x > 0.0:
         sign = 1.0 if n % 2 else -1.0
         return _fd_front_polynomial(n, x) + sign * _fd_integer(n, -x, tol)
-    z = -math.exp(x)
-    if -z <= tol.series_cutoff:
-        return -_polylog_series(n, z, tol)
-    return -(2.0 ** (1 - n) * polylog(n, z * z, tol) - polylog(n, -z, tol))
+    return -polylog(n, -math.exp(x), tol)
 
 
 def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> float:

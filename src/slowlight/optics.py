@@ -75,12 +75,11 @@ class ProbeParams:
     gamma: float            # rad/s spontaneous linewidth
     delta: float            # rad/s detuning omega - omega_0
     pinhole_R: float        # m
-    k_L: float = 0.0        # 1/m; 0 means derive omega_0 / c
     d_sq: float = 0.0       # squared dipole moment (SI); 0 means derive from gamma
     local_field_on: bool = True
 
     def __post_init__(self) -> None:
-        require_finite(self, "omega_0", "gamma", "delta", "pinhole_R", "k_L", "d_sq")
+        require_finite(self, "omega_0", "gamma", "delta", "pinhole_R", "d_sq")
         if self.omega_0 <= 0.0 or self.gamma <= 0.0:
             raise ValueError("omega_0 and gamma must be positive")
         if self.delta == 0.0:
@@ -92,8 +91,6 @@ class ProbeParams:
                 "detuning below 3*gamma: far-off-resonance response is marginal",
                 stacklevel=2,
             )
-        if self.k_L == 0.0:
-            object.__setattr__(self, "k_L", self.omega_0 / c_light)
         if self.d_sq == 0.0:
             object.__setattr__(
                 self, "d_sq", 3.0 * hbar * self.gamma * c_light**3 / (4.0 * self.omega_0**3)
@@ -127,11 +124,11 @@ def polarizability(probe: ProbeParams) -> float:
 
 
 def char_volume(probe: ProbeParams) -> float:
-    """4 pi^2 gamma / (Delta k_L^3): the volume in which one atom makes the
-    local-field correction order unity.  Its ratio to (4pi/3)*polarizability
-    is 4 pi under the default dipole convention; both are exposed so the
-    convention gap stays visible."""
-    return 4.0 * math.pi**2 * probe.gamma / (probe.delta * probe.k_L**3)
+    """4 pi^2 gamma / (Delta k_L^3) with k_L = omega_0 / c: the volume in
+    which one atom makes the local-field correction order unity.  Its ratio
+    to (4pi/3)*polarizability is 4 pi under the default dipole convention;
+    both are exposed so the convention gap stays visible."""
+    return 4.0 * math.pi**2 * probe.gamma / (probe.delta * (probe.omega_0 / c_light) ** 3)
 
 
 def susceptibility(rho: float, probe: ProbeParams) -> Susceptibility:

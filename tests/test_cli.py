@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from slowlight.cli import (
@@ -12,6 +13,7 @@ from slowlight.cli import (
     ConfigError,
     OutputRowError,
     SweepRow,
+    SweepSpec,
     emit_chart,
     load_config,
     main,
@@ -62,6 +64,26 @@ class TestParseConfig:
         assert cfg.sweep.axis == "detuning"
         assert cfg.sweep.temperature == 0.5
         assert cfg.sweep.start == 3.0 and cfg.sweep.stop == 20.0
+
+    @pytest.mark.parametrize("start,stop,points,scale", [
+        (0.1, 2.0, 64, "linear"),   # fig1
+        (3.0, 20.0, 64, "linear"),  # fig2
+        (0.8, 1.2, 3, "linear"),
+        (0.1, 2.0, 2, "linear"),
+        (0.1, 2.0, 2, "log"),
+        (0.02, 0.3, 6, "log"),
+        (1e-3, 1e3, 61, "log"),
+        (0.37, 5.9, 17, "log"),
+    ])
+    def test_grid_matches_numpy(self, start, stop, points, scale):
+        sweep = SweepSpec("temperature", start, stop, points, scale, (Statistics.FERMI,))
+        grid = sweep.grid()
+        assert len(grid) == points and grid[0] == start and grid[-1] == stop
+        if scale == "linear":
+            assert grid == np.linspace(start, stop, points).tolist()
+        else:
+            # numpy's vectorised log10 and power can differ from libm by a few ulp
+            assert np.allclose(grid, np.geomspace(start, stop, points), rtol=1e-14, atol=0.0)
 
     def test_empty_document(self):
         with pytest.raises(ConfigError):
@@ -318,16 +340,20 @@ class TestCommandLine:
         assert result.returncode == 0
         assert "a_r" in result.stdout
 
-    def test_run_path_imports_no_scipy(self):
-        # scipy is a test dependency only; importing the CLI and working
-        # out the scales of a preset must not load any of it
+    def test_run_path_imports_no_numpy_or_scipy(self, tmp_path):
+        # numpy and scipy are test dependencies only; a whole run, log grid
+        # included, must not load either of them
+        cfg = tmp_path / "log.config"
+        cfg.write_text(TINY_SWEEP.replace("sweep.points          = 3",
+                                          "sweep.points          = 2\nsweep.scale = log"),
+                       encoding="utf-8")
         script = (
-            "import os, sys\n"
-            "from slowlight import cli\n"
-            "preset = os.path.join(os.path.dirname(cli.__file__), 'presets', 'fig1.preset')\n"
-            "assert cli.main(['scales', preset]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+            "import sys\n"
+            "from slowlight.cli import main\n"
+            f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'log.csv')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
+        assert len((tmp_path / "log.csv").read_text().splitlines()) == 3
