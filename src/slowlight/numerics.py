@@ -420,6 +420,10 @@ def integrate_cylindrical(
     axial kinks of the integrand (e.g. a condensate surface), r_breakpoints
     the radii where the column integral kinks (the condensate edge); points
     outside (0, r_max) and (0, z_max) are ignored.
+
+    The program's observables integrate over shells instead (optics); this
+    nested route is the tests' 2-D oracle for them and for the closed-form
+    trap moments.
     """
     if r_max <= 0.0 or z_max <= 0.0:
         raise DomainError("r_max and z_max must be positive")

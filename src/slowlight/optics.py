@@ -23,8 +23,9 @@ L is closed-form for every statistics and temperature (the profile's axial
 moment, DensityProfile.axial_moment), and so is t_d with the local field
 off, where the excess slowness is linear in rho and only the pinhole column
 (DensityProfile.pinhole_column) enters.  t_d with the local field on and
-the transmission are nonlinear in rho and stay adaptive quadratures
-(integrate_cylindrical).
+the transmission are nonlinear in rho and stay adaptive quadratures, one
+1-D integral over shells each (_pinhole_integral): in the scaled
+coordinates s = (x, y, eps z) the LDA density depends on |s| alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .constants import c as c_light, hbar
 from .gas import (
@@ -45,7 +47,8 @@ from .gas import (
 from .numerics import (
     DEFAULT_TOL,
     NumericTolerances,
-    integrate_cylindrical,
+    integrate_1d,
+    integrate_cylindrical,  # the perfbench tracer wraps this name
     require_finite,
 )
 
@@ -193,6 +196,41 @@ def effective_length(
     return math.sqrt(make_profile(spec, trap, T, tol).axial_moment() / spec.n_atoms)
 
 
+def _pinhole_integral(
+    F: Callable[[float], float], prof, R: float, W: float, tol: NumericTolerances
+) -> float:
+    """int F(rho) dV over the cylinder r < R and the window |eps z| < W.
+
+    In the scaled coordinates s = (x, y, eps z), dV = d^3s / eps and the LDA
+    density is constant on each sphere |s| = s, so the volume integral is
+    one integral over shells weighted by the area each keeps inside the
+    region (Archimedes: a band of the sphere holds area 2 pi s dz_s):
+
+        (4 pi / eps) [ int_0^R min(s^2, W s) F(rho(s)) ds
+                     + int_0^W t (min(sqrt(R^2 + t^2), W) - t) F(rho(sqrt(R^2 + t^2))) dt ].
+
+    The shells outside the cylinder, s > R, are reached through
+    s = sqrt(R^2 + t^2), which removes the square-root kink of the
+    sphere-cylinder overlap at s = R.  Both pieces run as one quadrature,
+    u = s on [0, R] and u = R + t beyond, so the tolerance holds for the
+    whole integral: the far shells, where F(rho) is tiny and may round to a
+    staircase, need not meet it on their own.  The window edge W and the
+    condensate edge tf_radius are breakpoints of whichever piece they fall in.
+    """
+
+    def shell(u: float) -> float:
+        if u <= R:
+            return min(u * u, W * u) * F(prof.at(u, 0.0))
+        t = u - R
+        s = math.sqrt(R * R + t * t)
+        return t * (min(s, W) - t) * F(prof.at(s, 0.0))
+
+    edges = (W, prof.tf_radius)
+    points = [R, *(e for e in edges if e < R),
+              *(R + math.sqrt(e * e - R * R) for e in edges if e > R)]
+    return 4.0 * math.pi / prof.trap.epsilon * integrate_1d(shell, 0.0, R + W, tol, points)
+
+
 def _delay_of_profile(
     prof, probe: ProbeParams, tol: NumericTolerances
 ) -> float:
@@ -216,14 +254,11 @@ def _delay_of_profile(
             "x_peak grows with gas.atom_count and falls with probe.detuning_gamma"
         )
 
-    def excess(r: float, z: float) -> float:
-        return 1.0 / group_velocity_local(prof.at(r, z), probe) - 1.0 / c_light
+    def excess(rho: float) -> float:
+        return 1.0 / group_velocity_local(rho, probe) - 1.0 / c_light
 
-    total = integrate_cylindrical(
-        excess, R, prof.z_cut, tol, z_breakpoints=prof.z_breakpoints,
-        r_breakpoints=(prof.tf_radius,),
-    )
-    return total / (math.pi * R * R)
+    W = prof.trap.epsilon * prof.z_cut
+    return _pinhole_integral(excess, prof, R, W, tol) / (math.pi * R * R)
 
 
 def delay_time(
@@ -239,14 +274,11 @@ def _transmission_of_profile(
 ) -> float:
     R = probe.pinhole_R
 
-    def absorptive(r: float, z: float) -> float:
-        return susceptibility(prof.at(r, z), probe).chi_abs
+    def absorptive(rho: float) -> float:
+        return susceptibility(rho, probe).chi_abs
 
-    z_half = min(0.5 * L, prof.z_cut)
-    integral = integrate_cylindrical(
-        absorptive, R, z_half, tol, z_breakpoints=prof.z_breakpoints,
-        r_breakpoints=(prof.tf_radius,),
-    )
+    W = prof.trap.epsilon * min(0.5 * L, prof.z_cut)
+    integral = _pinhole_integral(absorptive, prof, R, W, tol)
     alpha_T = -2.0 * probe.omega_0 / c_light * integral / (math.pi * R * R)
     return math.exp(alpha_T)
 

@@ -4,10 +4,11 @@ import math
 import warnings
 
 import pytest
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 from scipy.constants import c as c_light
 
 from slowlight.gas import GasSpec, Statistics, TrapGeometry, char_scales, make_profile
-from slowlight.numerics import DEFAULT_TOL, integrate_cylindrical
+from slowlight.numerics import DEFAULT_TOL, NumericTolerances, integrate_cylindrical
 from slowlight.optics import (
     LocalFieldPoleError,
     PinholeError,
@@ -25,6 +26,7 @@ from slowlight.optics import (
     transmission_peak_estimate,
     v_g_zero_T,
     _delay_of_profile,
+    _pinhole_integral,
     _transmission_of_profile,
 )
 
@@ -48,23 +50,26 @@ def na_cloud():
     return spec, trap, char_scales(spec, trap)
 
 
-class HomogeneousSlab:
-    """Stub profile: uniform density inside |z| <= half_len, r <= r_cut."""
+class UniformBall:
+    """Stub profile: uniform density inside the scaled ball r^2 + eps^2 z^2 <= S^2.
 
-    def __init__(self, rho, half_len, r_cut):
+    The delay and the transmission integrate over shells of the scaled
+    radius, so a stub density must depend on (r, eps z) through that radius
+    alone; the surface is flagged as tf_radius, which puts the jump on a
+    panel edge."""
+
+    def __init__(self, rho, S, epsilon=1.0 / 3.0):
         self.rho = rho
-        self.z_cut = half_len
-        self.r_cut = r_cut
-        self.tf_radius = 0.0
+        self.trap = TrapGeometry(2.0 * math.pi * 69.0, epsilon)
+        self.tf_radius = S
+        self.z_cut = 1.001 * S / epsilon
 
     def at(self, r, z):
-        return self.rho if abs(z) <= self.z_cut and r <= self.r_cut else 0.0
+        inside = r * r + (self.trap.epsilon * z) ** 2 <= self.tf_radius**2
+        return self.rho if inside else 0.0
 
     def peak(self):
         return self.rho
-
-    def z_breakpoints(self, r):
-        return ()
 
 
 class TestPolarizability:
@@ -201,16 +206,21 @@ class TestEffectiveLength:
 
 class TestDelayTime:
     def test_vacuum_zero_delay(self):
-        slab = HomogeneousSlab(0.0, 30e-6, 1e-4)
-        assert _delay_of_profile(slab, na_probe(), DEFAULT_TOL) == 0.0
+        ball = UniformBall(0.0, 30e-6)
+        assert _delay_of_profile(ball, na_probe(), DEFAULT_TOL) == 0.0
 
     def test_homogeneous_slab_closed_form(self):
-        rho0, half = 5e19, 25e-6
-        slab = HomogeneousSlab(rho0, half, 1e-4)
-        probe = na_probe()
-        got = _delay_of_profile(slab, probe, DEFAULT_TOL)
-        expected = 2.0 * half * (1.0 / group_velocity_local(rho0, probe) - 1.0 / c_light)
-        assert got == pytest.approx(expected, rel=1e-8)
+        # the ball holds (4 pi / 3)[S^3 - (S^2 - R^2)^(3/2)] / eps of volume
+        # inside the pinhole cylinder; pinholes narrower and wider than S
+        rho0, S = 5e19, 25e-6
+        ball = UniformBall(rho0, S)
+        for R in (7.5e-6, 40e-6):
+            probe = na_probe(pinhole=R)
+            got = _delay_of_profile(ball, probe, DEFAULT_TOL)
+            excess = 1.0 / group_velocity_local(rho0, probe) - 1.0 / c_light
+            volume = (4.0 * math.pi / 3.0) * (S**3 - max(S * S - R * R, 0.0) ** 1.5)
+            expected = excess * volume / (ball.trap.epsilon * math.pi * R * R)
+            assert got == pytest.approx(expected, rel=1e-8)
 
     def test_zero_T_bose_column_antiderivative(self, na_cloud):
         # pinhole-averaged condensate column has the closed form
@@ -273,9 +283,24 @@ class TestDelayTime:
         probe = na_probe()
         rho_pole = 1.0 / ((4.0 * math.pi / 3.0) * polarizability(probe))
         with pytest.raises(LocalFieldPoleError):
-            _delay_of_profile(HomogeneousSlab(1.01 * rho_pole, 25e-6, 1e-4), probe, DEFAULT_TOL)
-        slab = HomogeneousSlab(0.99 * rho_pole, 25e-6, 1e-4)
-        assert _delay_of_profile(slab, probe, DEFAULT_TOL) > 0.0
+            _delay_of_profile(UniformBall(1.01 * rho_pole, 25e-6), probe, DEFAULT_TOL)
+        ball = UniformBall(0.99 * rho_pole, 25e-6)
+        assert _delay_of_profile(ball, probe, DEFAULT_TOL) > 0.0
+
+    def test_pinhole_wider_than_condensate(self, na_cloud):
+        # N = 1.84e5 at 0.0372 T_c: R_c = 10.05 um inside a 38.3 um pinhole.
+        # The nested (r, z) quadrature raised NonConvergenceError here: in the
+        # outer columns 1/v_g - 1/c rounds to a staircase.  scipy's quad of
+        # the shell integral at 1e-13 gives this value to 4e-16
+        spec, trap, _ = na_cloud
+        small = GasSpec(Statistics.BOSE, 1.84e5, spec.mass, spec.a_sc)
+        T = 0.0372 * char_scales(small, trap).T_c
+        assert make_profile(small, trap, T).tf_radius == pytest.approx(10.05e-6, rel=1e-3)
+        t_d = delay_time(small, trap, na_probe(pinhole=38.3e-6), T)
+        assert t_d == pytest.approx(2.6518553992899665e-10, rel=1e-8)
+        linear = delay_time(small, trap, na_probe(pinhole=38.3e-6, local_field=False), T)
+        # x_peak = 0.0094: the local field adds about one per cent
+        assert 1.0 < t_d / linear < 1.02
 
     def test_delay_positive_for_blue_detuning(self, na_cloud):
         spec, trap, s = na_cloud
@@ -284,8 +309,8 @@ class TestDelayTime:
 
 class TestTransmission:
     def test_vacuum_fully_transparent(self):
-        slab = HomogeneousSlab(0.0, 30e-6, 1e-4)
-        assert _transmission_of_profile(slab, na_probe(), 50e-6, DEFAULT_TOL) == 1.0
+        ball = UniformBall(0.0, 30e-6)
+        assert _transmission_of_profile(ball, na_probe(), 50e-6, DEFAULT_TOL) == 1.0
 
     def test_far_detuning_approaches_unity(self, na_cloud):
         spec, trap, s = na_cloud
@@ -324,6 +349,79 @@ class TestTransmission:
         est = transmission_peak_estimate(spec, trap, na_probe(), T)
         full = transmission(spec, trap, na_probe(), T)
         assert 0.0 < est < full
+
+
+class TestShellIntegral:
+    """The shell route of the local-field delay and the transmission against
+    the nested (r, z) quadrature, run ten times tighter."""
+
+    ORACLE_TOL = NumericTolerances(rel_tol_quadrature=1e-9)
+    # no shrinking: a failure would otherwise search for minutes
+    ORACLE_PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
+
+    @staticmethod
+    def profile(na_cloud, stat, reduced):
+        spec, trap, s = na_cloud
+        gspec = GasSpec(stat, spec.n_atoms, spec.mass, spec.a_sc)
+        return make_profile(gspec, trap, reduced * (s.T_F if stat is Statistics.FERMI else s.T_c))
+
+    @given(
+        stat=st.sampled_from(list(Statistics)),
+        reduced=st.one_of(st.just(0.0), st.floats(0.02, 2.0)),
+        pinhole=st.floats(1e-6, 50e-6),
+        delta_gamma=st.floats(3.0, 20.0),
+    )
+    @example(stat=Statistics.BOSE, reduced=0.5, pinhole=5e-6, delta_gamma=6.0)   # inside R_c
+    @example(stat=Statistics.BOSE, reduced=0.5, pinhole=30e-6, delta_gamma=6.0)  # wider than R_c
+    @example(stat=Statistics.BOSE, reduced=0.0, pinhole=30e-6, delta_gamma=3.0)
+    @example(stat=Statistics.BOSE, reduced=0.97, pinhole=2e-6, delta_gamma=10.0)  # on-axis cusp
+    @example(stat=Statistics.BOSE, reduced=1.5, pinhole=10e-6, delta_gamma=10.0)
+    @example(stat=Statistics.FERMI, reduced=0.0, pinhole=10e-6, delta_gamma=3.0)
+    # pinholes wide against a cold cloud: the nested route raised, and so did
+    # the far shells when they had to meet the tolerance on their own
+    @example(stat=Statistics.BOLTZMANN, reduced=0.02, pinhole=28.9e-6, delta_gamma=18.8)
+    @example(stat=Statistics.BOSE, reduced=0.0285, pinhole=33.4e-6, delta_gamma=8.3)
+    @settings(max_examples=20, deadline=None, phases=ORACLE_PHASES)
+    def test_matches_cylindrical_oracle(self, na_cloud, stat, reduced, pinhole, delta_gamma):
+        assume(reduced > 0.0 or stat is not Statistics.BOLTZMANN)
+        prof = self.profile(na_cloud, stat, reduced)
+        probe = na_probe(delta_gamma, pinhole)
+        alpha = polarizability(probe)
+        assume((4.0 * math.pi / 3.0) * alpha * prof.peak() < 1.0)
+        R = probe.pinhole_R
+        L = math.sqrt(prof.axial_moment() / prof.spec.n_atoms)
+
+        def oracle(f, z_max):
+            return integrate_cylindrical(
+                lambda r, z: f(prof.at(r, z)), R, z_max, self.ORACLE_TOL,
+                z_breakpoints=prof.z_breakpoints, r_breakpoints=(prof.tf_radius,),
+            ) / (math.pi * R * R)
+
+        # 1/v_g - 1/c written without the difference, which rounds to a
+        # staircase where rho is tiny and stalls the columns of a pinhole
+        # far wider than the cloud
+        t_d = oracle(
+            lambda rho: 2.0 * math.pi * OMEGA_0 * alpha * rho
+            / (probe.delta * c_light * (1.0 - (4.0 * math.pi / 3.0) * alpha * rho) ** 2),
+            prof.z_cut,
+        )
+        assert _delay_of_profile(prof, probe, DEFAULT_TOL) == pytest.approx(t_d, rel=1e-8)
+        alpha_T = -2.0 * OMEGA_0 / c_light * oracle(
+            lambda rho: susceptibility(rho, probe).chi_abs, min(0.5 * L, prof.z_cut))
+        got = math.log(_transmission_of_profile(prof, probe, L, DEFAULT_TOL))
+        assert got == pytest.approx(alpha_T, rel=1e-8)
+
+    @pytest.mark.parametrize("stat,reduced", [
+        (Statistics.FERMI, 0.0), (Statistics.FERMI, 0.3), (Statistics.BOSE, 0.0),
+        (Statistics.BOSE, 0.5), (Statistics.BOSE, 0.97), (Statistics.BOSE, 1.5),
+        (Statistics.BOLTZMANN, 1.0),
+    ])
+    @pytest.mark.parametrize("pinhole", [2e-6, 7.5e-6, 30e-6])
+    def test_density_gives_pinhole_column(self, na_cloud, stat, reduced, pinhole):
+        prof = self.profile(na_cloud, stat, reduced)
+        W = prof.trap.epsilon * prof.z_cut
+        column = _pinhole_integral(lambda rho: rho, prof, pinhole, W, DEFAULT_TOL)
+        assert column == pytest.approx(prof.pinhole_column(pinhole), rel=1e-10)
 
 
 class TestEffectiveGroupVelocity:
