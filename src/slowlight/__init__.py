@@ -23,7 +23,6 @@ from .gas import (
     char_scales,
     condensate_fraction,
     density,
-    density_zero_T,
     make_profile,
     mu_bose,
     mu_classical,
@@ -47,7 +46,6 @@ from .optics import (
     polarizability,
     susceptibility,
     transmission,
-    transmission_peak_estimate,
     v_g_zero_T,
 )
 

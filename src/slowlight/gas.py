@@ -6,14 +6,18 @@ Characteristic scales use the ideal-gas trap definitions
 E_F = hbar*wbar*(6N)^(1/3) and k_B T_c = hbar*wbar*(N/zeta(3))^(1/3)
 with wbar = eps^(1/3) omega_r, which reproduce T_F/T_c = (6 zeta(3))^(1/3).
 
-Density models:
+Density models: a thermal cloud plus one Thomas-Fermi paraboloid
+A (R_c^2 - s^2)^p, s^2 = r^2 + eps^2 z^2, either of which may be absent.
   Fermi      rho = f_{3/2}(e^{beta(mu - V)}) / lambda_T^3, mu fixed by the
-             normalization integral N = int rho dV.
+             normalization integral N = int rho dV.  At T = 0 the sphere
+             8 N eps (R_F^2 - s^2)^(3/2) / (pi^2 R_F^6).
   Bose       Thomas-Fermi condensate (mu - V)/U below T_c plus a thermal
              cloud g_{3/2}(e^{-beta V}) / lambda_T^3 scaled to hold exactly
              N - N_0 atoms; above T_c an ideal saturated cloud with the
-             fugacity solved from Li_3(z) = zeta(3) (T_c/T)^3.
-  Boltzmann  rho = e^{beta(mu - V)} / lambda_T^3, normalized in closed form.
+             fugacity solved from Li_3(z) = zeta(3) (T_c/T)^3.  At T = 0
+             the paraboloid 15 N eps (R_B^2 - s^2) / (8 pi R_B^5).
+  Boltzmann  rho = e^{beta(mu - V)} / lambda_T^3, normalized in closed form;
+             undefined at T = 0.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ class CharScales:
     mu_TF: float    # J, Thomas-Fermi chemical potential at T = 0
     eta: float      # mu_TF / (k_B T_c)
     mass: float     # kg, kept so lambda_T is self-contained
-    epsilon: float  # trap aspect ratio, kept for the zero-T profiles
+    epsilon: float  # trap aspect ratio, kept for optics.v_g_zero_T
 
     def lambda_T(self, T: float) -> float:
         """Thermal de Broglie wavelength at temperature T."""
@@ -127,7 +131,15 @@ def thermal_wavelength(mass: float, T: float) -> float:
 
 
 def char_scales(spec: GasSpec, trap: TrapGeometry) -> CharScales:
-    """All characteristic scales for the cloud, statistics-independent."""
+    """All characteristic scales for the cloud, statistics-independent.
+
+    R_B = (15 N eps a / a_ho)^(1/5) a_r is the paper's zero-T condensate
+    radius, while mu_TF (through eta) is the standard Thomas-Fermi chemical
+    potential, whose radius sqrt(2 mu_TF / (M omega_r^2)) = R_B eps^(-1/30)
+    carries eps^(1/6) where R_B has eps^(1/5).  So the condensate radius of
+    the profile tends to R_B eps^(-1/30) as T -> 0+ (1.0373 R_B at
+    eps = 1/3), and L jumps at T = 0, where the profile uses R_B.
+    """
     wbar = trap.epsilon ** (1.0 / 3.0) * trap.omega_r
     a_r = math.sqrt(hbar / (spec.mass * trap.omega_r))
     a_ho = math.sqrt(hbar / (spec.mass * wbar))
@@ -209,8 +221,8 @@ def mu_bose(
 
     Above T_c the fugacity solves Li_3(z) = zeta(3) (T_c/T)^3.  At and
     below T_c the condensate fraction follows the interacting fitting
-    function and mu = mu_TF (N_0/N)^(2/5); the reported fugacity is
-    clamped to 1, matching the saturated thermal-cloud convention.
+    function and mu = mu_TF (N_0/N)^(2/5) >= 0, and the fugacity of the
+    saturated thermal cloud is 1.
     """
     if T < 0.0:
         raise ValueError("mu_bose requires T >= 0")
@@ -221,35 +233,23 @@ def mu_bose(
         z = find_root(lambda u: polylog(3.0, u, tol) - target, 1e-300, 1.0, tol)
         return ThermoPoint(T=T, mu=k_B * T * math.log(z), fugacity=z, condensate_fraction=0.0)
     frac = condensate_fraction(T, scales)
-    mu = scales.mu_TF * frac**0.4
-    fugacity = min(math.exp(mu / (k_B * T)), 1.0)
-    return ThermoPoint(T=T, mu=mu, fugacity=fugacity, condensate_fraction=frac)
-
-
-def density_zero_T(spec: GasSpec, scales: CharScales, r: float, z: float) -> float:
-    """Closed-form zero-temperature profiles (Fermi and Bose only)."""
-    eps = scales.epsilon
-    if spec.statistics is Statistics.FERMI:
-        arg = scales.R_F**2 - r * r - eps**2 * z * z
-        if arg <= 0.0:
-            return 0.0
-        return 8.0 * spec.n_atoms * eps / (math.pi**2 * scales.R_F**6) * arg**1.5
-    if spec.statistics is Statistics.BOSE:
-        arg = scales.R_B**2 - r * r - eps**2 * z * z
-        if arg <= 0.0:
-            return 0.0
-        return 15.0 * spec.n_atoms * eps / (8.0 * math.pi * scales.R_B**5) * arg
-    raise UnsupportedStatisticsError("no zero-temperature Boltzmann profile")
+    return ThermoPoint(T=T, mu=scales.mu_TF * frac**0.4, fugacity=1.0, condensate_fraction=frac)
 
 
 class DensityProfile:
     """Frozen evaluation context: rho(r, z) at fixed (spec, trap, T).
 
+    Every cloud is a thermal part plus one Thomas-Fermi term
+    A (R_c^2 - s^2)^p on s^2 = r^2 + eps^2 z^2 < R_c^2, so rho depends on
+    (r, z) through s alone.  The term is the condensate (mu - V)/U below
+    T_c (p = 1), the whole cloud at T = 0 (p = 1 for Bose with R_c = R_B,
+    p = 3/2 for the Fermi sphere with R_c = R_F), and absent otherwise.
+    At T = 0 there is no thermal part.
+
     Precomputes the chemical potential, wavelength, and amplitudes once so
     quadrature loops pay only for the local special-function call.  Pure
-    and safe to share across threads.  tf_radius is the radial edge of the
-    Thomas-Fermi part (the condensate, or the whole cloud at T = 0), where
-    the density kinks; 0 when there is none.
+    and safe to share across threads.  tf_radius is R_c, where the density
+    kinks; 0 when there is no Thomas-Fermi term.
     """
 
     def __init__(
@@ -266,39 +266,46 @@ class DensityProfile:
         self.scales = char_scales(spec, trap)
         s = self.scales
         stats = spec.statistics
-        self._zero_T = T == 0.0
-        if self._zero_T:
-            if stats is Statistics.BOLTZMANN:
-                raise UnsupportedStatisticsError("no zero-temperature Boltzmann profile")
-            cloud_r = s.R_F if stats is Statistics.FERMI else s.R_B
-            self.r_cut = 1.001 * cloud_r
-            self.z_cut = self.r_cut / trap.epsilon
-            self.tf_radius = cloud_r
-            return
-        self._beta = 1.0 / (k_B * T)
-        self._lam3 = thermal_wavelength(spec.mass, T) ** 3
-        self._vcoef = 0.5 * spec.mass * trap.omega_r**2 * self._beta
-        sigma_r = math.sqrt(k_B * T / (spec.mass * trap.omega_r**2))
+        # the Thomas-Fermi term A (R_c^2 - s^2)^p; absent unless set below
         self.tf_radius = 0.0
+        self._tf_amp = 0.0
+        self._tf_power = 1.0
+        if T == 0.0:
+            # no thermal part: the whole cloud is the Thomas-Fermi term
+            N, eps = spec.n_atoms, trap.epsilon
+            if stats is Statistics.FERMI:
+                self.tf_radius = s.R_F
+                self._tf_amp = 8.0 * N * eps / (math.pi**2 * s.R_F**6)
+                self._tf_power = 1.5
+            elif stats is Statistics.BOSE:
+                self.tf_radius = s.R_B
+                self._tf_amp = 15.0 * N * eps / (8.0 * math.pi * s.R_B**5)
+            else:
+                raise UnsupportedStatisticsError("no zero-temperature Boltzmann profile")
+            self.r_cut = 1.001 * self.tf_radius
+            self.z_cut = self.r_cut / eps
+            return
+        beta = 1.0 / (k_B * T)
+        self._lam3 = thermal_wavelength(spec.mass, T) ** 3
+        self._vcoef = 0.5 * spec.mass * trap.omega_r**2 * beta
+        sigma_r = math.sqrt(k_B * T / (spec.mass * trap.omega_r**2))
         if stats is Statistics.FERMI:
-            self._x0 = solve_mu_fermi(T, s, tol) * self._beta
+            self._x0 = solve_mu_fermi(T, s, tol) * beta
             self.r_cut = 8.0 * max(s.R_F, sigma_r)
         elif stats is Statistics.BOSE:
             point = mu_bose(T, spec, s, tol)
             self._fugacity = point.fugacity
+            self._kappa = 1.0
             if T <= s.T_c:
-                self._mu = point.mu
-                self._inv_U = spec.mass / (4.0 * math.pi * hbar**2 * spec.a_sc)
-                t = T / s.T_c
                 # thermal amplitude scaled so the cloud holds N - N_0 atoms
-                self._kappa = (1.0 - point.condensate_fraction) / t**3
-                if point.mu > 0.0:
-                    self.tf_radius = math.sqrt(
-                        2.0 * point.mu / (spec.mass * trap.omega_r**2)
-                    )
+                self._kappa = (1.0 - point.condensate_fraction) / (T / s.T_c) ** 3
+                # condensate (mu - V)/U with U = 4 pi hbar^2 a / M
+                half_M_w2 = 0.5 * spec.mass * trap.omega_r**2
+                self._tf_amp = half_M_w2 * spec.mass / (4.0 * math.pi * hbar**2 * spec.a_sc)
+                self.tf_radius = math.sqrt(point.mu / half_M_w2)
             self.r_cut = 8.0 * max(s.R_B, sigma_r)
         elif stats is Statistics.BOLTZMANN:
-            self._zmu = math.exp(mu_classical(T, s) * self._beta)
+            self._zmu = math.exp(mu_classical(T, s) * beta)
             self.r_cut = 8.0 * sigma_r
         else:  # pragma: no cover
             raise UnsupportedStatisticsError(str(stats))
@@ -306,49 +313,46 @@ class DensityProfile:
 
     def _ladder(self, order: float, v: float = 0.0) -> float:
         """The thermal cloud's special function of order n at beta V = v:
-        f_n(e^{x0 - v}), g_n(z e^{-v}) or kappa g_n(e^{-v}), and z e^{-v}
-        for every n in the Boltzmann limit.  At n = 3/2 it is lambda_T^3
-        times the thermal density; n = 3 and 4 give the moments below."""
+        f_n(e^{x0 - v}), or kappa g_n(z e^{-v}) with kappa = 1 above T_c and
+        z = 1 below, and z e^{-v} for every n in the Boltzmann limit.  At
+        n = 3/2 it is lambda_T^3 times the thermal density; n = 3 and 4 give
+        the moments below."""
         stats = self.spec.statistics
         if stats is Statistics.FERMI:
             return fermi_dirac_f(order, self._x0 - v, self.tol)
         if stats is Statistics.BOLTZMANN:
             return self._zmu * math.exp(-v)
-        if self.T > self.scales.T_c:
-            return polylog(order, self._fugacity * math.exp(-v), self.tol)
-        return self._kappa * polylog(order, math.exp(-v), self.tol)
+        return self._kappa * polylog(order, self._fugacity * math.exp(-v), self.tol)
 
     def at(self, r: float, z: float) -> float:
         """Number density in m^-3."""
-        if self._zero_T:
-            return density_zero_T(self.spec, self.scales, r, z)
-        v = self._vcoef * (r * r + self.trap.epsilon**2 * z * z)
-        rho = self._ladder(1.5, v) / self._lam3
-        if self.tf_radius > 0.0:
-            local = self._mu - v / self._beta
-            if local > 0.0:
-                rho += local * self._inv_U
+        s2 = r * r + self.trap.epsilon**2 * z * z
+        rho = 0.0
+        if self.T > 0.0:
+            rho = self._ladder(1.5, self._vcoef * s2) / self._lam3
+        R_c2 = self.tf_radius**2
+        if s2 < R_c2:
+            rho += self._tf_amp * (R_c2 - s2) ** self._tf_power
         return rho
 
     # Closed-form moments.  With v = a s^2, a = beta M omega_r^2 / 2 and the
-    # scaled coordinates s = (x, y, eps z), the ladder identity
+    # scaled coordinates s = (x, y, eps z), dV = d^3s / eps, the ladder identity
     #     int d^3s f_nu(zeta e^{-a s^2}) = (pi/a)^(3/2) f_{nu+3/2}(zeta)
     # and its a-derivative turn the trap moments of the thermal cloud into
-    # order-3 and order-4 functions; the Thomas-Fermi parts are polynomials.
+    # order-3 and order-4 functions.  The Thomas-Fermi term A (R_c^2 - s^2)^p
+    # gives Beta functions of p.
 
     def axial_moment(self) -> float:
         """int z^2 rho dV in m^2 (atoms times m^2), in closed form."""
         eps = self.trap.epsilon
-        if self._zero_T:
-            # N R^2 / (8 eps^2) for the Fermi sphere, N R^2 / (7 eps^2) for
-            # the condensate paraboloid
-            shape = 8.0 if self.spec.statistics is Statistics.FERMI else 7.0
-            return self.spec.n_atoms * self.tf_radius**2 / (shape * eps**2)
-        a = self._vcoef
-        moment = self._ladder(4.0) * (math.pi / a) ** 1.5 / (2.0 * a * eps**3 * self._lam3)
-        R_c = self.tf_radius
-        if R_c > 0.0:
-            moment += self._tf_curvature() * (8.0 * math.pi / 105.0) * R_c**7 / eps**3
+        p = self._tf_power
+        moment = (
+            self._tf_amp * (2.0 * math.pi / (3.0 * eps**3)) * self.tf_radius ** (2.0 * p + 5.0)
+            * math.gamma(2.5) * math.gamma(p + 1.0) / math.gamma(p + 3.5)
+        )
+        if self.T > 0.0:
+            a = self._vcoef
+            moment += self._ladder(4.0) * (math.pi / a) ** 1.5 / (2.0 * a * eps**3 * self._lam3)
         return moment
 
     def pinhole_column(self, radius: float) -> float:
@@ -356,27 +360,22 @@ class DensityProfile:
         in closed form.  The thermal part is a difference of two order-3
         functions, which loses about log10(1 / (a radius^2)) digits."""
         eps = self.trap.epsilon
-        if self._zero_T:
-            power = 3.0 if self.spec.statistics is Statistics.FERMI else 2.5
-            u2 = min(radius / self.tf_radius, 1.0) ** 2
-            return self.spec.n_atoms * _cap_fraction(u2, power)
-        a = self._vcoef
-        column = (
-            (self._ladder(3.0) - self._ladder(3.0, a * radius * radius))
-            * math.pi**1.5 / (eps * self._lam3 * a**1.5)
-        )
+        column = 0.0
+        if self.T > 0.0:
+            a = self._vcoef
+            column = (
+                (self._ladder(3.0) - self._ladder(3.0, a * radius * radius))
+                * math.pi**1.5 / (eps * self._lam3 * a**1.5)
+            )
         R_c = self.tf_radius
         if R_c > 0.0:
+            p = self._tf_power
             u2 = min(radius / R_c, 1.0) ** 2
             column += (
-                self._tf_curvature() * (8.0 * math.pi / (15.0 * eps)) * R_c**5
-                * _cap_fraction(u2, 2.5)
+                self._tf_amp * math.pi**1.5 / eps * R_c ** (2.0 * p + 3.0)
+                * math.gamma(p + 1.0) / math.gamma(p + 2.5) * _cap_fraction(u2, p + 1.5)
             )
         return column
-
-    def _tf_curvature(self) -> float:
-        # condensate density (mu - V) / U = this times (R_c^2 - r^2 - eps^2 z^2)
-        return 0.5 * self.spec.mass * self.trap.omega_r**2 * self._inv_U
 
     def peak(self) -> float:
         return self.at(0.0, 0.0)
@@ -414,7 +413,9 @@ def density(
     z: float,
     tol: NumericTolerances = DEFAULT_TOL,
 ) -> float:
-    """Number density rho(r, z) at temperature T (T = 0 uses closed forms)."""
+    """Number density rho(r, z) at temperature T >= 0 from the cached
+    DensityProfile; at T = 0 only its Thomas-Fermi term remains (Bose and
+    Fermi), and a Boltzmann cloud raises UnsupportedStatisticsError."""
     if T < 0.0:
         raise ValueError("density requires T >= 0")
     return make_profile(spec, trap, T, tol).at(r, z)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 
@@ -427,12 +427,7 @@ def integrate_cylindrical(
     """
     if r_max <= 0.0 or z_max <= 0.0:
         raise DomainError("r_max and z_max must be positive")
-    inner_tol = NumericTolerances(
-        rel_tol_quadrature=tol.rel_tol_quadrature / 4.0,
-        rel_tol_root=tol.rel_tol_root,
-        series_cutoff=tol.series_cutoff,
-        max_iterations=tol.max_iterations,
-    )
+    inner_tol = replace(tol, rel_tol_quadrature=tol.rel_tol_quadrature / 4.0)
 
     def column(r: float) -> float:
         pts = z_breakpoints(r) if z_breakpoints is not None else None

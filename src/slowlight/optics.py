@@ -236,18 +236,21 @@ def _delay_of_profile(
 ) -> float:
     # Pinhole-averaged excess delay; the vacuum transit cancels identically
     # in the excess-slowness form, so the axial window only needs to cover
-    # the cloud.
+    # the cloud.  The excess slowness is 1/v_g - 1/c = K rho / (1 - (4 pi / 3)
+    # alpha rho)^2 with K = 2 pi omega_0 alpha / (Delta c), written without
+    # the difference, which rounds to a staircase where rho is tiny.
     R = probe.pinhole_R
+    alpha = polarizability(probe)
+    K = 2.0 * math.pi * probe.omega_0 * alpha / (probe.delta * c_light)
     if not probe.local_field_on:
-        # Without the local-field denominator the excess slowness
-        # 1/v_g - 1/c = K rho is linear in rho, K = 2 pi omega_0 alpha / (Delta c),
-        # so the average needs only the number of atoms in the pinhole column.
-        K = 2.0 * math.pi * probe.omega_0 * polarizability(probe) / (probe.delta * c_light)
+        # Without the local-field denominator the excess slowness is linear
+        # in rho, so the average needs only the atoms in the pinhole column.
         return K * prof.pinhole_column(R) / (math.pi * R * R)
 
     # the density peaks at the trap centre, so 1 - (4 pi / 3) alpha rho stays
     # positive throughout the cloud exactly when it does there
-    x_peak = (4.0 * math.pi / 3.0) * polarizability(probe) * prof.peak()
+    b = (4.0 * math.pi / 3.0) * alpha
+    x_peak = b * prof.peak()
     if x_peak >= 1.0:
         raise LocalFieldPoleError(
             f"local-field pole: x_peak = (4 pi/3) alpha rho(0, 0) = {x_peak:.6g} >= 1; "
@@ -255,7 +258,7 @@ def _delay_of_profile(
         )
 
     def excess(rho: float) -> float:
-        return 1.0 / group_velocity_local(rho, probe) - 1.0 / c_light
+        return K * rho / (1.0 - b * rho) ** 2
 
     W = prof.trap.epsilon * prof.z_cut
     return _pinhole_integral(excess, prof, R, W, tol) / (math.pi * R * R)
@@ -294,19 +297,6 @@ def transmission(
     if L is None:
         L = effective_length(spec, trap, T, tol)
     return _transmission_of_profile(prof, probe, L, tol)
-
-
-def transmission_peak_estimate(
-    spec: GasSpec, trap: TrapGeometry, probe: ProbeParams, T: float,
-    tol: NumericTolerances = DEFAULT_TOL,
-    L: float | None = None,
-) -> float:
-    """Quick estimate exp(-2 (omega_0/c) chi''_peak L) using the peak density."""
-    prof = make_profile(spec, trap, T, tol)
-    if L is None:
-        L = effective_length(spec, trap, T, tol)
-    chi_abs = susceptibility(prof.peak(), probe).chi_abs
-    return math.exp(-2.0 * probe.omega_0 / c_light * chi_abs * L)
 
 
 def effective_group_velocity(

@@ -18,7 +18,6 @@ from slowlight.gas import (
     char_scales,
     condensate_fraction,
     density,
-    density_zero_T,
     make_profile,
     mu_bose,
     mu_classical,
@@ -183,28 +182,35 @@ class TestBoseThermodynamics:
         spec, _, s = na_cloud
         pt = mu_bose(0.5 * s.T_c, spec, s)
         assert pt.mu == pytest.approx(s.mu_TF * pt.condensate_fraction**0.4, rel=1e-12)
-        assert pt.fugacity == 1.0  # clamped to the saturated thermal cloud
+        assert pt.fugacity == 1.0  # the saturated thermal cloud
+
+    def test_condensate_radius_tends_to_convention_constant(self, na_cloud):
+        # R_B carries eps^(1/5) where the Thomas-Fermi radius of mu_TF carries
+        # eps^(1/6), so the condensate edge tends to R_B eps^(-1/30) as T -> 0+
+        spec, trap, s = na_cloud
+        prof = DensityProfile(spec, trap, 1e-6 * s.T_c)
+        assert prof.tf_radius / s.R_B == pytest.approx(trap.epsilon ** (-1.0 / 30.0), rel=1e-9)
 
 
 class TestDensityProfiles:
     def test_zero_T_bose_peak(self, na_cloud):
-        spec, _, s = na_cloud
-        peak = density_zero_T(spec, s, 0.0, 0.0)
+        spec, trap, s = na_cloud
+        peak = density(spec, trap, 0.0, 0.0, 0.0)
         expected = 15.0 * spec.n_atoms * (1.0 / 3.0) / (8.0 * math.pi * s.R_B**3)
         assert peak == pytest.approx(expected, rel=1e-12)
         assert peak == pytest.approx(1.35e20, rel=5e-3)
 
     def test_zero_T_outside_support(self, na_cloud):
-        spec, _, s = na_cloud
-        assert density_zero_T(spec, s, s.R_B * 1.01, 0.0) == 0.0
+        spec, trap, s = na_cloud
+        assert density(spec, trap, 0.0, s.R_B * 1.01, 0.0) == 0.0
         fspec = GasSpec(Statistics.FERMI, spec.n_atoms, spec.mass)
-        assert density_zero_T(fspec, s, 0.0, s.R_F / s.epsilon * 1.01) == 0.0
+        assert density(fspec, trap, 0.0, 0.0, s.R_F / s.epsilon * 1.01) == 0.0
 
     def test_zero_T_boltzmann_rejected(self, na_cloud):
-        spec, _, s = na_cloud
+        spec, trap, _ = na_cloud
         cspec = GasSpec(Statistics.BOLTZMANN, spec.n_atoms, spec.mass)
         with pytest.raises(UnsupportedStatisticsError):
-            density_zero_T(cspec, s, 0.0, 0.0)
+            density(cspec, trap, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("stat", [Statistics.FERMI, Statistics.BOSE])
     def test_zero_T_normalization(self, na_cloud, stat):
