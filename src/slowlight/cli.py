@@ -1,10 +1,11 @@
 """Configuration, sweep orchestration, and output.
 
 Config files are line-oriented ``section.key = value`` text with ``#``
-comments.  Frequencies are given in ordinary Hz and multiplied by 2*pi
-internally; lengths accept SI-prefix suffixes (``7.5 um``); detunings are
-in units of gamma; sweep temperatures in units of T_c (T_F when only the
-Fermi gas is requested).
+comments; the table ``_KEYS`` holds every key with its parser and default.
+Frequencies are given in ordinary Hz and multiplied by 2*pi internally;
+lengths accept SI-prefix suffixes (``7.5 um``); detunings are in units of
+gamma; sweep temperatures in units of T_c (T_F when only the Fermi gas is
+requested).
 
 Outputs are a CSV table (one row per statistics and grid point) and an
 optional self-contained SVG line chart.  Runs are deterministic: the same
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -96,155 +98,109 @@ class SweepRow:
 _LENGTH_SUFFIX = {
     "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
 }
+_LENGTH = re.compile(rf"(.+?)\s*({'|'.join(_LENGTH_SUFFIX)})?")
+_BOOLEAN = {**dict.fromkeys(("true", "on", "yes", "1"), True),
+            **dict.fromkeys(("false", "off", "no", "0"), False)}
 
-_KNOWN_KEYS = {
-    "gas.statistics", "gas.atom_count", "gas.mass", "gas.scattering_length",
-    "trap.frequency_hz", "trap.epsilon",
-    "probe.wavelength", "probe.frequency_hz", "probe.linewidth_hz",
-    "probe.detuning_gamma", "probe.pinhole_radius", "probe.local_field",
-    "probe.dipole_moment_sq",
-    "sweep.axis", "sweep.start", "sweep.stop", "sweep.points", "sweep.scale",
-    "sweep.statistics", "sweep.temperature",
-    "output.csv", "output.chart",
-}
+# The value parsers: pure functions of the value text that raise ValueError.
 
 
-def _parse_length(text: str) -> float | None:
-    """Metres from ``7.5 um``, ``7.5um`` or ``7.5e-6``; None if unparseable."""
-    parts = text.split()
+def _number(text: str) -> float:
+    """A float, or a fraction of two such as ``1/3``."""
     try:
-        if len(parts) == 2 and parts[1] in _LENGTH_SUFFIX:
-            return float(parts[0]) * _LENGTH_SUFFIX[parts[1]]
-        if len(parts) == 1:
-            token = parts[0]
-            for suffix in sorted(_LENGTH_SUFFIX, key=len, reverse=True):
-                if token.endswith(suffix) and len(token) > len(suffix):
-                    head = token[: -len(suffix)]
-                    if head[-1].isdigit() or head[-1] == ".":
-                        return float(head) * _LENGTH_SUFFIX[suffix]
-            return float(token)
+        num, slash, den = text.partition("/")
+        return float(num) / float(den) if slash else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse number from {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    value = _number(text)
+    if not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
+def _length(text: str) -> float:
+    """Metres from ``7.5 um``, ``7.5um`` or ``7.5e-6``."""
+    match = _LENGTH.fullmatch(text)
+    try:
+        return float(match[1]) * _LENGTH_SUFFIX[match[2] or "m"]
     except ValueError:
-        pass
-    return None
+        raise ValueError(f"cannot parse length from {text!r}") from None
 
 
-class _Entries:
-    """Parsed key/value pairs with typed, line-aware accessors."""
-
-    def __init__(self, items: dict[str, tuple[str, int]]):
-        self._items = items
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._items
-
-    def raw(self, key: str) -> tuple[str, int]:
-        if key not in self._items:
-            raise ConfigError(f"missing required key {key!r}")
-        return self._items[key]
-
-    def number(self, key: str, default: float | None = None) -> float:
-        if key not in self._items:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        text, line = self._items[key]
-        try:
-            if "/" in text:
-                num, den = text.split("/")
-                value = float(num) / float(den)
-            else:
-                value = float(text)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{key}: cannot parse number from {text!r}", line) from None
-        return self._finite(key, value)
-
-    def integer(self, key: str, default: int | None = None) -> int:
-        value = self.number(key, default if default is None else float(default))
-        if value != int(value):
-            _, line = self._items[key]
-            raise ConfigError(f"{key}: expected an integer, got {value}", line)
-        return int(value)
-
-    def length(self, key: str, default: float | None = None) -> float:
-        if key not in self._items:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        text, line = self._items[key]
-        value = _parse_length(text)
-        if value is None:
-            raise ConfigError(f"{key}: cannot parse length from {text!r}", line)
-        return self._finite(key, value)
-
-    def _finite(self, key: str, value: float) -> float:
-        # float() accepts "nan" and "inf", and every range check below
-        # passes NaN, so non-finite values stop here with their key
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value}", self._items[key][1])
-        return value
-
-    def boolean(self, key: str, default: bool) -> bool:
-        if key not in self._items:
-            return default
-        text, line = self._items[key]
-        low = text.strip().lower()
-        if low in ("true", "on", "yes", "1"):
-            return True
-        if low in ("false", "off", "no", "0"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {text!r}", line)
-
-    def word(self, key: str, allowed: Sequence[str], default: str | None = None) -> str:
-        if key not in self._items:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        text, line = self._items[key]
-        value = text.strip().lower()
-        if value not in allowed:
-            raise ConfigError(f"{key}: expected one of {', '.join(allowed)}; got {text!r}", line)
-        return value
-
-    def string(self, key: str) -> str | None:
-        return self._items[key][0] if key in self._items else None
-
-    def statistics(self, key: str) -> Statistics:
-        text, line = self.raw(key)
-        try:
-            return Statistics(text.strip().lower())
-        except ValueError:
-            raise ConfigError(
-                f"{key}: unknown statistics {text!r} (use fermi, bose, boltzmann)", line
-            ) from None
-
-    def statistics_list(self, key: str, default: tuple[Statistics, ...]) -> tuple[Statistics, ...]:
-        if key not in self._items:
-            return default
-        text, line = self._items[key]
-        out: list[Statistics] = []
-        for token in text.split(","):
-            token = token.strip().lower()
-            if not token:
-                continue
-            try:
-                stat = Statistics(token)
-            except ValueError:
-                raise ConfigError(f"{key}: unknown statistics {token!r}", line) from None
-            if stat in out:
-                raise ConfigError(f"{key}: repeated statistics {token!r}", line)
-            out.append(stat)
-        if not out:
-            raise ConfigError(f"{key}: empty statistics list", line)
-        return tuple(out)
-
-    def require_positive(self, key: str, value: float) -> float:
-        if value <= 0.0:
-            line = self._items[key][1] if key in self._items else None
-            raise ConfigError(f"{key}: must be positive, got {value}", line)
-        return value
+def _boolean(text: str) -> bool:
+    if text.lower() not in _BOOLEAN:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return _BOOLEAN[text.lower()]
 
 
-def _tokenize(text: str) -> _Entries:
+def _choice(*words: str):
+    def parse(text: str) -> str:
+        if text.lower() not in words:
+            raise ValueError(f"expected one of {', '.join(words)}; got {text!r}")
+        return text.lower()
+
+    return parse
+
+
+def _statistics(text: str) -> Statistics:
+    try:
+        return Statistics(text.lower())
+    except ValueError:
+        raise ValueError(f"unknown statistics {text!r} (use fermi, bose, boltzmann)") from None
+
+
+def _statistics_list(text: str) -> tuple[Statistics, ...]:
+    out: list[Statistics] = []
+    for token in filter(None, (token.strip() for token in text.split(","))):
+        stat = _statistics(token)
+        if stat in out:
+            raise ValueError(f"repeated statistics {token!r}")
+        out.append(stat)
+    if not out:
+        raise ValueError("empty statistics list")
+    return tuple(out)
+
+
+_REQUIRED = object()
+
+# The config language: key -> (parser, default) in the order parse_config
+# reads them.  A _REQUIRED key must be given; None stands for an absent key,
+# which the cross-field rules in parse_config may still require or refuse.
+_KEYS = {
+    "gas.statistics": (_statistics, _REQUIRED),
+    "gas.atom_count": (_number, _REQUIRED),
+    "gas.mass": (_number, _REQUIRED),
+    "gas.scattering_length": (_length, 0.0),
+    "trap.frequency_hz": (_number, _REQUIRED),
+    "trap.epsilon": (_number, _REQUIRED),
+    "probe.wavelength": (_length, None),
+    "probe.frequency_hz": (_number, None),
+    "probe.linewidth_hz": (_number, _REQUIRED),
+    "probe.detuning_gamma": (_number, _REQUIRED),
+    "probe.pinhole_radius": (_length, _REQUIRED),
+    "probe.local_field": (_boolean, True),
+    "probe.dipole_moment_sq": (_number, 0.0),
+    "sweep.axis": (_choice("temperature", "detuning"), _REQUIRED),
+    "sweep.start": (_number, _REQUIRED),
+    "sweep.stop": (_number, _REQUIRED),
+    "sweep.points": (_integer, _REQUIRED),
+    "sweep.scale": (_choice("linear", "log"), "linear"),
+    "sweep.statistics": (_statistics_list, None),  # default: (gas.statistics,)
+    "sweep.temperature": (_number, None),
+    "output.csv": (str, None),
+    "output.chart": (str, None),
+}
+_POSITIVE = (
+    "gas.atom_count", "gas.mass", "trap.frequency_hz", "trap.epsilon", "probe.wavelength",
+    "probe.frequency_hz", "probe.linewidth_hz", "probe.pinhole_radius", "sweep.temperature",
+)
+
+
+def _tokenize(text: str) -> dict[str, tuple[str, int]]:
+    """key -> (value text, line number) of a config document."""
     items: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -254,7 +210,7 @@ def _tokenize(text: str) -> _Entries:
             raise ConfigError(f"expected 'section.key = value', got {raw.strip()!r}", lineno)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in items:
             raise ConfigError(f"duplicate key {key!r}", lineno)
@@ -263,73 +219,71 @@ def _tokenize(text: str) -> _Entries:
         items[key] = (value, lineno)
     if not items:
         raise ConfigError("empty configuration document")
-    return _Entries(items)
+    return items
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document; derived scales included."""
-    e = _tokenize(text)
+    items = _tokenize(text)
+    v = {}
+    for key, (parse, default) in _KEYS.items():
+        entry = items.get(key)
+        if entry is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
+            v[key] = default
+            continue
+        try:
+            value = parse(entry[0])
+            # float() accepts "nan" and "inf", and every range check passes
+            # NaN, so non-finite values stop here with their key
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"must be finite, got {value}")
+            if key in _POSITIVE and value <= 0.0:
+                raise ValueError(f"must be positive, got {value}")
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}", entry[1]) from None
+        v[key] = value
 
-    stat = e.statistics("gas.statistics")
-    n_atoms = e.require_positive("gas.atom_count", e.number("gas.atom_count"))
-    mass = e.require_positive("gas.mass", e.number("gas.mass"))
-    a_sc = e.length("gas.scattering_length", default=0.0)
+    def invalid(key: str, message: str) -> ConfigError:
+        return ConfigError(f"{key}: {message}", items[key][1])
+
+    a_sc, axis = v["gas.scattering_length"], v["sweep.axis"]
+    start, stop = v["sweep.start"], v["sweep.stop"]
     if a_sc < 0.0:
-        raise ConfigError("gas.scattering_length: must be >= 0")
-
-    freq = e.require_positive("trap.frequency_hz", e.number("trap.frequency_hz"))
-    epsilon = e.number("trap.epsilon")
-    if epsilon <= 0.0:
-        line = e.raw("trap.epsilon")[1]
-        raise ConfigError(f"trap.epsilon: must be positive, got {epsilon}", line)
-
-    if ("probe.wavelength" in e) == ("probe.frequency_hz" in e):
+        raise invalid("gas.scattering_length", "must be >= 0")
+    if v["probe.detuning_gamma"] == 0.0:
+        raise invalid("probe.detuning_gamma", "must be nonzero")
+    if v["sweep.points"] < 2:
+        raise invalid("sweep.points", f"need at least 2, got {v['sweep.points']}")
+    lam, f_0 = v["probe.wavelength"], v["probe.frequency_hz"]
+    if (lam is None) == (f_0 is None):
         raise ConfigError("exactly one of probe.wavelength / probe.frequency_hz is required")
-    if "probe.wavelength" in e:
-        lam = e.require_positive("probe.wavelength", e.length("probe.wavelength"))
-        omega_0 = 2.0 * math.pi * C_LIGHT / lam
-    else:
-        omega_0 = 2.0 * math.pi * e.require_positive(
-            "probe.frequency_hz", e.number("probe.frequency_hz")
-        )
-    gamma = 2.0 * math.pi * e.require_positive(
-        "probe.linewidth_hz", e.number("probe.linewidth_hz")
-    )
-    detuning_gamma = e.number("probe.detuning_gamma")
-    if detuning_gamma == 0.0:
-        raise ConfigError("probe.detuning_gamma: must be nonzero", e.raw("probe.detuning_gamma")[1])
-    pinhole = e.require_positive("probe.pinhole_radius", e.length("probe.pinhole_radius"))
-    local_field = e.boolean("probe.local_field", default=True)
-    d_sq = e.number("probe.dipole_moment_sq", default=0.0)
-
-    axis = e.word("sweep.axis", ("temperature", "detuning"))
-    start = e.number("sweep.start")
-    stop = e.number("sweep.stop")
     if not start < stop:
         raise ConfigError(f"sweep.start must be < sweep.stop, got [{start}, {stop}]")
-    points = e.integer("sweep.points")
-    if points < 2:
-        raise ConfigError(f"sweep.points: need at least 2, got {points}")
-    scale = e.word("sweep.scale", ("linear", "log"), default="linear")
-    if scale == "log" and start <= 0.0:
+    if v["sweep.scale"] == "log" and start <= 0.0:
         raise ConfigError("sweep.scale: log scale requires sweep.start > 0")
-    stats_list = e.statistics_list("sweep.statistics", default=(stat,))
-    sweep_temperature = None
-    if axis == "detuning":
-        sweep_temperature = e.require_positive("sweep.temperature", e.number("sweep.temperature"))
-        if start <= 0.0:
-            raise ConfigError("sweep.start: detuning sweeps must stay at positive detuning")
-    elif "sweep.temperature" in e:
+    if axis == "detuning" and v["sweep.temperature"] is None:
+        raise ConfigError("missing required key 'sweep.temperature'")
+    if axis == "temperature" and v["sweep.temperature"] is not None:
         raise ConfigError("sweep.temperature: only valid for detuning sweeps")
-    if axis == "temperature" and start <= 0.0:
-        raise ConfigError("sweep.start: temperatures must be positive")
+    if start <= 0.0:
+        raise ConfigError(
+            "sweep.start: detuning sweeps must stay at positive detuning" if axis == "detuning"
+            else "sweep.start: temperatures must be positive"
+        )
 
+    omega_0 = 2.0 * math.pi * C_LIGHT / lam if lam is not None else 2.0 * math.pi * f_0
+    gamma = 2.0 * math.pi * v["probe.linewidth_hz"]
+    stats_list = v["sweep.statistics"] or (v["gas.statistics"],)
     try:
-        gas_spec = GasSpec(statistics=stat, n_atoms=n_atoms, mass=mass, a_sc=a_sc)
-        trap = TrapGeometry(omega_r=2.0 * math.pi * freq, epsilon=epsilon)
+        gas_spec = GasSpec(v["gas.statistics"], v["gas.atom_count"], v["gas.mass"], a_sc)
+        trap = TrapGeometry(omega_r=2.0 * math.pi * v["trap.frequency_hz"],
+                            epsilon=v["trap.epsilon"])
         probe = ProbeParams(
-            omega_0=omega_0, gamma=gamma, delta=detuning_gamma * gamma,
-            pinhole_R=pinhole, d_sq=d_sq, local_field_on=local_field,
+            omega_0=omega_0, gamma=gamma, delta=v["probe.detuning_gamma"] * gamma,
+            pinhole_R=v["probe.pinhole_radius"], d_sq=v["probe.dipole_moment_sq"],
+            local_field_on=v["probe.local_field"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -337,13 +291,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("gas.scattering_length: Bose statistics requires a positive value")
 
     sweep = SweepSpec(
-        axis=axis, start=start, stop=stop, points=points, scale=scale,
-        statistics_list=stats_list, temperature=sweep_temperature,
+        axis=axis, start=start, stop=stop, points=v["sweep.points"], scale=v["sweep.scale"],
+        statistics_list=stats_list, temperature=v["sweep.temperature"],
     )
-    scales = char_scales(gas_spec, trap)
     return RunConfig(
-        gas=gas_spec, trap=trap, probe=probe, sweep=sweep,
-        scales=scales, out_csv=e.string("output.csv"), out_chart=e.string("output.chart"),
+        gas=gas_spec, trap=trap, probe=probe, sweep=sweep, scales=char_scales(gas_spec, trap),
+        out_csv=v["output.csv"], out_chart=v["output.chart"],
     )
 
 

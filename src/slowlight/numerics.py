@@ -9,7 +9,7 @@ quadrature, so the special functions are kept cheap.
 Evaluation strategy for Li_s:
   * |z| <= series_cutoff          direct power series
   * series_cutoff < z <= 1        expansion in ln z about the z=1 point
-  * z < -series_cutoff            square formula / Hurwitz-zeta inversion
+  * z < -series_cutoff            -f_s(-z), the Fermi-Dirac function below
 and for f_nu(e^x):
   * x <= ln(series_cutoff)        alternating power series
   * intermediate x                Hurwitz-zeta inversion (exact, all x)
@@ -241,25 +241,24 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
         if s <= 1.0:
             raise DomainError(f"polylog near z=1 requires s > 1, got s={s}")
         return _polylog_near_one(s, z)
-    # negative argument beyond the series region
-    if z >= -1.0 and s > 1.0:
-        # Li_s(z) + Li_s(-z) = 2^{1-s} Li_s(z^2)
-        return 2.0 ** (1.0 - s) * polylog(s, z * z, tol) - polylog(s, -z, tol)
-    if _is_integer(s):
-        if s < 2.0:
-            raise DomainError(f"polylog with integer s < 2 and z < -cutoff: s={s}")
-        return -_fd_integer(round(s), math.log(-z), tol)
-    return _polylog_negative_axis(s, math.log(-z))
+    # negative argument beyond the series region: the Fermi-Dirac function
+    return -fermi_dirac_f(s, math.log(-z), tol)
 
 
 def _fd_integer(n: int, x: float, tol: NumericTolerances) -> float:
     # f_n(e^x) for integer n >= 1; exact reflection for x > 0.
+    if n < 1:
+        raise DomainError(f"integer Fermi-Dirac order must be >= 1, got {n}")
     if n == 1:
         return math.log1p(math.exp(x)) if x <= 0.0 else x + math.log1p(math.exp(-x))
     if x > 0.0:
         sign = 1.0 if n % 2 else -1.0
         return _fd_front_polynomial(n, x) + sign * _fd_integer(n, -x, tol)
-    return -polylog(n, -math.exp(x), tol)
+    y = math.exp(x)
+    if y <= tol.series_cutoff:
+        return -_polylog_series(n, -y, tol)
+    # the square formula Li_n(-y) + Li_n(y) = 2^{1-n} Li_n(y^2), solved for f_n(y) = -Li_n(-y)
+    return polylog(n, y, tol) - 2 ** (1 - n) * polylog(n, y * y, tol)
 
 
 def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> float:

@@ -1,6 +1,7 @@
 """Config parsing, sweep orchestration, CSV, and SVG output."""
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -96,6 +97,22 @@ class TestParseConfig:
         assert "trap.epsilon" in text and "= -1" in text
         with pytest.raises(ConfigError, match="trap.epsilon"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key,value", [
+        ("gas.scattering_length", "-1 nm"),
+        ("sweep.points", "1"),
+        ("sweep.points", "2.5"),
+        ("probe.local_field", "maybe"),
+        ("sweep.scale", "cubic"),
+        ("sweep.statistics", "fermi, fermi"),
+        ("gas.statistics", "quark"),
+    ])
+    def test_bad_value_names_key_and_line(self, key, value):
+        lines = [line for line in TINY_SWEEP.splitlines() if not line.startswith(key + " ")]
+        lines.append(f"{key} = {value}")
+        with pytest.raises(ConfigError, match=rf"^line {len(lines)}: {re.escape(key)}: ") as err:
+            parse_config("\n".join(lines))
+        assert err.value.line == len(lines)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*gas.flavour"):

@@ -63,7 +63,7 @@ class TestCharScales:
 
     def test_oscillator_length_relation(self, na_cloud):
         _, trap, s = na_cloud
-        assert s.a_ho == pytest.approx(s.a_r * trap.epsilon ** (-1.0 / 6.0), rel=1e-12)
+        assert s.a_ho == pytest.approx(s.a_r * trap.epsilon ** (-1.0 / 6.0), rel=1e-12, abs=0.0)
 
     def test_fermi_to_condensation_temperature_ratio(self, na_cloud):
         _, _, s = na_cloud
@@ -83,7 +83,7 @@ class TestCharScales:
         ) ** 0.4
         assert s.eta == pytest.approx(direct, rel=1e-12)
         assert s.eta == pytest.approx(0.2617, rel=2e-3)
-        assert s.mu_TF == pytest.approx(s.eta * k_B * s.T_c, rel=1e-12)
+        assert s.mu_TF == pytest.approx(s.eta * k_B * s.T_c, rel=1e-12, abs=0.0)
 
     def test_thermal_wavelength(self, na_cloud):
         _, _, s = na_cloud
@@ -100,7 +100,7 @@ class TestChemicalPotentials:
 
     def test_fermi_at_fermi_temperature(self, na_cloud):
         _, _, s = na_cloud
-        assert mu_fermi(s.T_F, s) == pytest.approx(-k_B * s.T_F * math.log(6.0), rel=1e-12)
+        assert mu_fermi(s.T_F, s) == pytest.approx(-k_B * s.T_F * math.log(6.0), rel=1e-12, abs=0.0)
 
     def test_fermi_sommerfeld_branch_value(self, na_cloud):
         _, _, s = na_cloud
@@ -150,7 +150,7 @@ class TestBoseThermodynamics:
         spec, _, s = na_cloud
         pt = mu_bose(2.0 * s.T_c, spec, s)
         assert f"{pt.fugacity:.4f}" == "0.1474"
-        assert pt.mu == pytest.approx(k_B * 2.0 * s.T_c * math.log(pt.fugacity), rel=1e-12)
+        assert pt.mu == pytest.approx(k_B * 2.0 * s.T_c * math.log(pt.fugacity), rel=1e-12, abs=0.0)
         assert pt.condensate_fraction == 0.0
 
     def test_zero_temperature_point(self, na_cloud):
@@ -181,7 +181,7 @@ class TestBoseThermodynamics:
     def test_below_transition_uses_thomas_fermi_mu(self, na_cloud):
         spec, _, s = na_cloud
         pt = mu_bose(0.5 * s.T_c, spec, s)
-        assert pt.mu == pytest.approx(s.mu_TF * pt.condensate_fraction**0.4, rel=1e-12)
+        assert pt.mu == pytest.approx(s.mu_TF * pt.condensate_fraction**0.4, rel=1e-12, abs=0.0)
         assert pt.fugacity == 1.0  # the saturated thermal cloud
 
     def test_condensate_radius_tends_to_convention_constant(self, na_cloud):

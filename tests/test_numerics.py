@@ -118,7 +118,7 @@ class TestFermiDirac:
 
     def test_vanishing_fugacity_limit(self):
         assert fermi_dirac_f(1.5, -800.0) == 0.0
-        assert fermi_dirac_f(1.5, -50.0) == pytest.approx(math.exp(-50.0), rel=1e-10)
+        assert fermi_dirac_f(1.5, -50.0) == pytest.approx(math.exp(-50.0), rel=1e-10, abs=0.0)
 
     def test_momentum_quadrature_oracle_at_high_degeneracy(self):
         # f_{3/2}(e^x) = (2/sqrt(pi)) * int_0^inf sqrt(t) / (exp(t - x) + 1) dt
@@ -141,6 +141,11 @@ class TestFermiDirac:
     def test_integer_orders(self, n, x):
         exact = float(complex(-mp.polylog(n, -mp.exp(mp.mpf(x)))).real)
         assert fermi_dirac_f(float(n), x) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("nu,x", [(0.0, 1.0), (-1.0, 1.0), (0.0, -0.2)])
+    def test_integer_order_below_one_is_a_domain_error(self, nu, x):
+        with pytest.raises(DomainError, match=f"order must be >= 1, got {round(nu)}"):
+            fermi_dirac_f(nu, x)
 
     def test_branch_overlap_window(self):
         # asymptotic and exact branches agree near the switchover
