@@ -2,14 +2,17 @@
 
 Config files are line-oriented ``section.key = value`` text with ``#``
 comments; the table ``_KEYS`` holds every key with its parser and default.
-Frequencies are given in ordinary Hz and multiplied by 2*pi internally;
-lengths accept SI-prefix suffixes (``7.5 um``); detunings are in units of
-gamma; sweep temperatures in units of T_c (T_F when only the Fermi gas is
-requested).
+The config describes the physics only: the probe resonance is given by its
+wavelength, and the dipole moment is always the two-level one fixed by the
+linewidth.  Frequencies are given in ordinary Hz and multiplied by 2*pi
+internally; lengths accept SI-prefix suffixes (``7.5 um``); detunings are in
+units of gamma; sweep temperatures in units of T_c (T_F when only the Fermi
+gas is requested).
 
 Outputs are a CSV table (one row per statistics and grid point) and an
-optional self-contained SVG line chart.  Runs are deterministic: the same
-config produces byte-identical CSV on every run.
+optional self-contained SVG line chart, written where ``--out`` and
+``--chart`` say.  Runs are deterministic: the same config produces
+byte-identical CSV on every run.
 """
 
 from __future__ import annotations
@@ -68,8 +71,6 @@ class RunConfig:
     probe: ProbeParams
     sweep: SweepSpec
     scales: CharScales
-    out_csv: str | None = None
-    out_chart: str | None = None
 
     @property
     def only_fermi(self) -> bool:
@@ -176,13 +177,11 @@ _KEYS = {
     "gas.scattering_length": (_length, 0.0),
     "trap.frequency_hz": (_number, _REQUIRED),
     "trap.epsilon": (_number, _REQUIRED),
-    "probe.wavelength": (_length, None),
-    "probe.frequency_hz": (_number, None),
+    "probe.wavelength": (_length, _REQUIRED),
     "probe.linewidth_hz": (_number, _REQUIRED),
     "probe.detuning_gamma": (_number, _REQUIRED),
     "probe.pinhole_radius": (_length, _REQUIRED),
     "probe.local_field": (_boolean, True),
-    "probe.dipole_moment_sq": (_number, 0.0),
     "sweep.axis": (_choice("temperature", "detuning"), _REQUIRED),
     "sweep.start": (_number, _REQUIRED),
     "sweep.stop": (_number, _REQUIRED),
@@ -190,12 +189,10 @@ _KEYS = {
     "sweep.scale": (_choice("linear", "log"), "linear"),
     "sweep.statistics": (_statistics_list, None),  # default: (gas.statistics,)
     "sweep.temperature": (_number, None),
-    "output.csv": (str, None),
-    "output.chart": (str, None),
 }
 _POSITIVE = (
     "gas.atom_count", "gas.mass", "trap.frequency_hz", "trap.epsilon", "probe.wavelength",
-    "probe.frequency_hz", "probe.linewidth_hz", "probe.pinhole_radius", "sweep.temperature",
+    "probe.linewidth_hz", "probe.pinhole_radius", "sweep.start", "sweep.temperature",
 )
 
 
@@ -256,24 +253,14 @@ def parse_config(text: str) -> RunConfig:
         raise invalid("probe.detuning_gamma", "must be nonzero")
     if v["sweep.points"] < 2:
         raise invalid("sweep.points", f"need at least 2, got {v['sweep.points']}")
-    lam, f_0 = v["probe.wavelength"], v["probe.frequency_hz"]
-    if (lam is None) == (f_0 is None):
-        raise ConfigError("exactly one of probe.wavelength / probe.frequency_hz is required")
     if not start < stop:
         raise ConfigError(f"sweep.start must be < sweep.stop, got [{start}, {stop}]")
-    if v["sweep.scale"] == "log" and start <= 0.0:
-        raise ConfigError("sweep.scale: log scale requires sweep.start > 0")
     if axis == "detuning" and v["sweep.temperature"] is None:
         raise ConfigError("missing required key 'sweep.temperature'")
     if axis == "temperature" and v["sweep.temperature"] is not None:
         raise ConfigError("sweep.temperature: only valid for detuning sweeps")
-    if start <= 0.0:
-        raise ConfigError(
-            "sweep.start: detuning sweeps must stay at positive detuning" if axis == "detuning"
-            else "sweep.start: temperatures must be positive"
-        )
 
-    omega_0 = 2.0 * math.pi * C_LIGHT / lam if lam is not None else 2.0 * math.pi * f_0
+    omega_0 = 2.0 * math.pi * C_LIGHT / v["probe.wavelength"]
     gamma = 2.0 * math.pi * v["probe.linewidth_hz"]
     stats_list = v["sweep.statistics"] or (v["gas.statistics"],)
     try:
@@ -282,8 +269,7 @@ def parse_config(text: str) -> RunConfig:
                             epsilon=v["trap.epsilon"])
         probe = ProbeParams(
             omega_0=omega_0, gamma=gamma, delta=v["probe.detuning_gamma"] * gamma,
-            pinhole_R=v["probe.pinhole_radius"], d_sq=v["probe.dipole_moment_sq"],
-            local_field_on=v["probe.local_field"],
+            pinhole_R=v["probe.pinhole_radius"], local_field_on=v["probe.local_field"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -296,7 +282,6 @@ def parse_config(text: str) -> RunConfig:
     )
     return RunConfig(
         gas=gas_spec, trap=trap, probe=probe, sweep=sweep, scales=char_scales(gas_spec, trap),
-        out_csv=v["output.csv"], out_chart=v["output.chart"],
     )
 
 
@@ -320,7 +305,7 @@ def _sweep_point(config: RunConfig, stat: Statistics, x: float) -> SweepRow:
         probe = config.probe
     else:
         T = config.sweep.temperature * config.temperature_unit
-        probe = config.probe.with_detuning(x * config.probe.gamma)
+        probe = replace(config.probe, delta=x * config.probe.gamma)
     result = effective_group_velocity(spec, config.trap, probe, T)
     return SweepRow(
         statistics=stat.value, x=x, L_m=result.L, t_d_s=result.t_d,
@@ -607,18 +592,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         print(_format_scales(config))
         rows = run_sweep(config)
-        out_csv = args.out or config.out_csv or (Path(args.config).stem + "_sweep.csv")
+        out_csv = args.out or (Path(args.config).stem + "_sweep.csv")
         write_csv(rows, out_csv)
         print(f"wrote {len(rows)} rows to {out_csv}")
-        out_chart = args.chart or config.out_chart
-        if out_chart:
+        if args.chart:
             if config.sweep.axis == "temperature":
-                emit_chart(rows, out_chart, y_field="v_g_mps",
+                emit_chart(rows, args.chart, y_field="v_g_mps",
                            x_label=f"T / {config.temperature_unit_name}")
             else:
-                emit_chart(rows, out_chart, y_field="transmission",
+                emit_chart(rows, args.chart, y_field="transmission",
                            x_label="detuning / gamma")
-            print(f"wrote chart to {out_chart}")
+            print(f"wrote chart to {args.chart}")
         return 0
     except (ConfigError, RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ Lorentz-Lorenz local-field denominator:
     chi = alpha rho / (1 - (4 pi / 3) alpha rho + i gamma / (2 Delta)).
 
 alpha = d^2 / (hbar Delta) is the off-resonant polarizability expressed in
-the Gaussian-unit convention in which chi' ~ alpha rho is dimensionless;
-with the default dipole convention d^2 = 3 hbar gamma c^3 / (4 omega_0^3)
-this is alpha = 3 gamma / (4 k_L^3 Delta).
+the Gaussian-unit convention in which chi' ~ alpha rho is dimensionless.
+The atoms are two-level, so the linewidth fixes the dipole moment,
+d^2 = 3 hbar gamma c^3 / (4 omega_0^3), and alpha = 3 gamma / (4 k_L^3 Delta).
 
 Observables, all per unit cloud at temperature T:
   effective_length          L = [ (1/N) int z^2 rho dV ]^(1/2)
@@ -78,11 +78,10 @@ class ProbeParams:
     gamma: float            # rad/s spontaneous linewidth
     delta: float            # rad/s detuning omega - omega_0
     pinhole_R: float        # m
-    d_sq: float = 0.0       # squared dipole moment (SI); 0 means derive from gamma
     local_field_on: bool = True
 
     def __post_init__(self) -> None:
-        require_finite(self, "omega_0", "gamma", "delta", "pinhole_R", "d_sq")
+        require_finite(self, "omega_0", "gamma", "delta", "pinhole_R")
         if self.omega_0 <= 0.0 or self.gamma <= 0.0:
             raise ValueError("omega_0 and gamma must be positive")
         if self.delta == 0.0:
@@ -94,13 +93,6 @@ class ProbeParams:
                 "detuning below 3*gamma: far-off-resonance response is marginal",
                 stacklevel=2,
             )
-        if self.d_sq == 0.0:
-            object.__setattr__(
-                self, "d_sq", 3.0 * hbar * self.gamma * c_light**3 / (4.0 * self.omega_0**3)
-            )
-
-    def with_detuning(self, delta: float) -> "ProbeParams":
-        return replace(self, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -122,15 +114,17 @@ class PropagationResult:
 
 
 def polarizability(probe: ProbeParams) -> float:
-    """alpha = d^2 / (hbar Delta); a signed volume in m^3."""
-    return probe.d_sq / (hbar * probe.delta)
+    """alpha = d^2 / (hbar Delta) with the two-level dipole moment
+    d^2 = 3 hbar gamma c^3 / (4 omega_0^3); a signed volume in m^3."""
+    d_sq = 3.0 * hbar * probe.gamma * c_light**3 / (4.0 * probe.omega_0**3)
+    return d_sq / (hbar * probe.delta)
 
 
 def char_volume(probe: ProbeParams) -> float:
     """4 pi^2 gamma / (Delta k_L^3) with k_L = omega_0 / c: the volume in
     which one atom makes the local-field correction order unity.  Its ratio
-    to (4pi/3)*polarizability is 4 pi under the default dipole convention;
-    both are exposed so the convention gap stays visible."""
+    to (4pi/3)*polarizability is fixed at 4 pi by the two-level dipole
+    moment; both are exposed so the convention gap stays visible."""
     return 4.0 * math.pi**2 * probe.gamma / (probe.delta * (probe.omega_0 / c_light) ** 3)
 
 
@@ -176,7 +170,7 @@ def group_velocity_from_dispersion(
     """
 
     def chi_re_at(omega: float) -> float:
-        shifted = probe.with_detuning(omega - probe.omega_0)
+        shifted = replace(probe, delta=omega - probe.omega_0)
         return susceptibility(rho, shifted).chi_re
 
     omega = probe.omega_0 + probe.delta
@@ -334,7 +328,7 @@ def v_g_zero_T(
 
     Both are exactly twice the pipeline's L / t_d with the local field off.
     There t_d = K C / (pi R^2) with K = 2 pi omega_0 alpha / (Delta c)
-    = 3 pi gamma c^2 / (2 omega_0^2 Delta^2) under the default dipole rule,
+    = 3 pi gamma c^2 / (2 omega_0^2 Delta^2) with the two-level dipole moment,
     and the zero-T pinhole columns are C = N (1 - [1 - u^2]^(5/2)) (Bose)
     and C = N (1 - [1 - u^2]^3) = 3 N u^2 (1 - u^2 + u^4 / 3) (Fermi),
     u = R / R_cloud.  With L = R_B / (sqrt7 eps) and R_F / (sqrt8 eps):

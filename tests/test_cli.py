@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slowlight import cli
 from slowlight.cli import (
     CSV_HEADER,
     ConfigError,
@@ -49,7 +51,7 @@ class TestParseConfig:
         assert cfg.gas.n_atoms == 3.8e6
         assert cfg.trap.omega_r == pytest.approx(2.0 * math.pi * 69.0)
         assert cfg.trap.epsilon == pytest.approx(1.0 / 3.0)
-        assert cfg.gas.a_sc == pytest.approx(2.75e-9)
+        assert cfg.gas.a_sc == pytest.approx(2.75e-9, rel=1e-12, abs=0.0)
         assert cfg.probe.pinhole_R == pytest.approx(7.5e-6)
         assert cfg.probe.delta == pytest.approx(10.0 * cfg.probe.gamma)
         assert cfg.probe.gamma == pytest.approx(2.0 * math.pi * 10.03e6)
@@ -117,8 +119,20 @@ class TestParseConfig:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*gas.flavour"):
             parse_config("\ngas.flavour = up\n")
-        with pytest.raises(ConfigError, match="line 3.*numerics.series_cutoff"):
-            parse_config("\n\nnumerics.series_cutoff = 0.2\n")
+        # the last four were keys once: the probe resonance is set by its
+        # wavelength, the two-level dipole moment follows from the linewidth,
+        # and the output paths come from --out and --chart
+        for key in ("numerics.series_cutoff", "probe.frequency_hz", "probe.dipole_moment_sq",
+                    "output.csv", "output.chart"):
+            with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{re.escape(key)}'$"):
+                parse_config(f"\n\n{key} = 0.2\n")
+
+    def test_readme_table_is_the_language(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` ", section, flags=re.MULTILINE)
+        assert documented == list(cli._KEYS)
+        assert f"The {len(cli._KEYS)} keys below" in section
 
     def test_duplicate_key_rejected(self):
         text = TINY_SWEEP + "\nsweep.points = 4\n"
@@ -133,11 +147,9 @@ class TestParseConfig:
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="trap.frequency_hz"):
             parse_config("gas.statistics = bose\ngas.atom_count = 10\ngas.mass = 1e-26\n")
-
-    def test_wavelength_frequency_exclusive(self):
-        text = TINY_SWEEP + "probe.frequency_hz = 5.1e14\n"
-        with pytest.raises(ConfigError, match="wavelength"):
-            parse_config(text)
+        no_wavelength = TINY_SWEEP.replace("probe.wavelength      = 589 nm\n", "")
+        with pytest.raises(ConfigError, match="^missing required key 'probe.wavelength'$"):
+            parse_config(no_wavelength)
 
     def test_detuning_sweep_requires_temperature(self):
         text = TINY_SWEEP.replace("sweep.axis            = temperature",
@@ -151,6 +163,14 @@ class TestParseConfig:
         text = text.replace("sweep.stop            = 1.2", "sweep.stop            = 1.2\nsweep.scale = log")
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_detuning_sweep_start_must_be_positive(self):
+        text = TINY_SWEEP.replace("sweep.axis            = temperature",
+                                  "sweep.axis            = detuning")
+        text = text.replace("sweep.start           = 0.8", "sweep.start           = -3")
+        lineno = text.splitlines().index("sweep.start           = -3") + 1
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: sweep.start: must be positive"):
+            parse_config(text + "sweep.temperature = 0.5\n")
 
     def test_length_suffixes(self):
         for text, value in (("7.5 um", 7.5e-6), ("7.5um", 7.5e-6), ("2.75 nm", 2.75e-9),
@@ -321,6 +341,17 @@ class TestCommandLine:
         assert not out_csv.exists()
         err = capsys.readouterr().err
         assert key in err and "finite" in err
+
+    def test_dipole_moment_key_refused_before_any_sweep_point(self, tmp_path, capsys):
+        bad = tmp_path / "dipole.config"
+        bad.write_text(TINY_SWEEP + "probe.dipole_moment_sq = -1e-58\n", encoding="utf-8")
+        lineno = len(bad.read_text(encoding="utf-8").splitlines())
+        out_csv = tmp_path / "never.csv"
+        assert main(["run", str(bad), "--out", str(out_csv)]) == 1
+        assert not out_csv.exists()
+        captured = capsys.readouterr()
+        assert f"line {lineno}: unknown key 'probe.dipole_moment_sq'" in captured.err
+        assert "sweep point" not in captured.err and captured.out == ""
 
     def test_no_local_field_flag_changes_output(self, tmp_path):
         cfg_path = tmp_path / "bose.config"

@@ -89,14 +89,14 @@ class TestCharScales:
         _, _, s = na_cloud
         T = 300e-9
         expected = (2.0 * math.pi * hbar) / math.sqrt(2.0 * math.pi * MASS_NA * k_B * T)
-        assert s.lambda_T(T) == pytest.approx(expected, rel=1e-12)
+        assert s.lambda_T(T) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert thermal_wavelength(MASS_NA, T) == expected
 
 
 class TestChemicalPotentials:
     def test_fermi_low_temperature_limit(self, na_cloud):
         _, _, s = na_cloud
-        assert mu_fermi(1e-4 * s.T_F, s) == pytest.approx(s.E_F, rel=1e-6)
+        assert mu_fermi(1e-4 * s.T_F, s) == pytest.approx(s.E_F, rel=1e-6, abs=0.0)
 
     def test_fermi_at_fermi_temperature(self, na_cloud):
         _, _, s = na_cloud
@@ -105,7 +105,7 @@ class TestChemicalPotentials:
     def test_fermi_sommerfeld_branch_value(self, na_cloud):
         _, _, s = na_cloud
         assert mu_fermi(0.3 * s.T_F, s) == pytest.approx(
-            s.E_F * (1.0 - math.pi**2 * 0.09 / 3.0), rel=1e-12
+            s.E_F * (1.0 - math.pi**2 * 0.09 / 3.0), rel=1e-12, abs=0.0
         )
         assert mu_fermi(0.3 * s.T_F, s) / s.E_F == pytest.approx(0.7039, abs=1e-4)
 
@@ -126,7 +126,8 @@ class TestChemicalPotentials:
         low = s.E_F * (1.0 - math.pi**2 * 0.55**2 / 3.0)
         high = -k_B * T * math.log(6.0 * 0.55**3)
         jump = abs(low - high)
-        assert jump == pytest.approx(abs(mu_fermi(T, s) - mu_fermi(T * (1 + 1e-13), s)), rel=1e-3)
+        seam = abs(mu_fermi(T, s) - mu_fermi(T * (1 + 1e-13), s))
+        assert jump == pytest.approx(seam, rel=1e-3, abs=0.0)
         assert jump < 5e-3 * s.E_F
 
     def test_normalization_solved_mu_matches_branches_in_their_limits(self, na_cloud):

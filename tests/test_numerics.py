@@ -95,16 +95,10 @@ class TestPolylog:
     def test_decreasing_in_order(self, s, ds, z):
         assert polylog(s + ds, z) < polylog(s, z)
 
-    def test_custom_series_cutoff_respected(self):
-        tight = NumericTolerances(series_cutoff=0.2)
-        assert polylog(1.5, 0.35, tight) == pytest.approx(mp_polylog(1.5, 0.35), rel=1e-10)
-
-    def test_exhausted_iteration_budget_raises(self):
-        from slowlight.numerics import NonConvergenceError
-
-        starved = NumericTolerances(max_iterations=3)
+    def test_exhausted_iteration_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(NumericTolerances, "max_iterations", 3)
         with pytest.raises(NonConvergenceError):
-            polylog(1.5, 0.49, starved)
+            polylog(1.5, 0.49)
 
 
 class TestFermiDirac:
@@ -293,11 +287,12 @@ class TestFindRoot:
         expected = brentq(f, 1e-300, 1.0, **self.BRENTQ)
         assert find_root(f, 1e-300, 1.0) == pytest.approx(expected, rel=1e-15)
 
-    def test_exhausted_iteration_budget_raises(self):
+    def test_exhausted_iteration_budget_raises(self, monkeypatch):
         f = lambda x: math.cos(x) - x
         assert find_root(f, 0.0, 1.0) == pytest.approx(0.7390851332151607, rel=1e-12)
+        monkeypatch.setattr(NumericTolerances, "max_iterations", 3)
         with pytest.raises(NonConvergenceError, match="3 iterations"):
-            find_root(f, 0.0, 1.0, NumericTolerances(max_iterations=3))
+            find_root(f, 0.0, 1.0)
 
     def test_linear(self):
         assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
@@ -371,12 +366,13 @@ class TestTolerances:
     def test_validation(self):
         with pytest.raises(ValueError):
             NumericTolerances(rel_tol_quadrature=0.0)
-        with pytest.raises(ValueError):
-            NumericTolerances(series_cutoff=1.0)
-        with pytest.raises(ValueError):
-            NumericTolerances(max_iterations=0)
+        # the other knobs are class constants, not settable per instance
+        for field in ("rel_tol_root", "series_cutoff", "max_iterations"):
+            with pytest.raises(TypeError):
+                NumericTolerances(**{field: 0.2})
+            assert getattr(DEFAULT_TOL, field) == getattr(NumericTolerances, field)
 
-    @pytest.mark.parametrize("field", ["rel_tol_quadrature", "rel_tol_root", "series_cutoff"])
+    @pytest.mark.parametrize("field", ["rel_tol_quadrature"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected_by_name(self, field, bad):
         with pytest.raises(ValueError, match=field):

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 from scipy.constants import c as c_light
@@ -78,8 +79,9 @@ class TestPolarizability:
         probe = na_probe()
         alpha = polarizability(probe)
         k_l = OMEGA_0 / c_light
-        assert alpha == pytest.approx(3.0 * GAMMA / (4.0 * k_l**3 * probe.delta), rel=1e-12)
-        assert alpha == pytest.approx(6.18e-23, rel=2e-3)
+        two_level = 3.0 * GAMMA / (4.0 * k_l**3 * probe.delta)
+        assert alpha == pytest.approx(two_level, rel=1e-12, abs=0.0)
+        assert alpha == pytest.approx(6.18e-23, rel=2e-3, abs=0.0)
 
     def test_vanishes_at_large_detuning(self):
         assert polarizability(na_probe(1e6)) < 1e-27
@@ -94,7 +96,7 @@ class TestPolarizability:
         with pytest.raises(ZeroDetuningError):
             ProbeParams(OMEGA_0, GAMMA, 0.0, 7.5e-6)
 
-    @pytest.mark.parametrize("field", ["omega_0", "gamma", "delta", "pinhole_R", "d_sq"])
+    @pytest.mark.parametrize("field", ["omega_0", "gamma", "delta", "pinhole_R"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_by_name(self, field, bad):
         fields = dict(omega_0=OMEGA_0, gamma=GAMMA, delta=10.0 * GAMMA, pinhole_R=7.5e-6)
@@ -111,15 +113,15 @@ class TestCharVolume:
     def test_reference_value(self):
         # ~3.25e-15 cm^3 at ten linewidths, in the 4e-15 cm^3 ballpark
         v_alpha = char_volume(na_probe())
-        assert v_alpha * 1e6 == pytest.approx(3.25e-15, rel=2e-3)
+        assert v_alpha * 1e6 == pytest.approx(3.25e-15, rel=2e-3, abs=0.0)
 
     def test_inverse_detuning_scaling(self):
         assert char_volume(na_probe(10.0)) == pytest.approx(
-            2.0 * char_volume(na_probe(20.0)), rel=1e-12
+            2.0 * char_volume(na_probe(20.0)), rel=1e-12, abs=0.0
         )
 
     def test_convention_ratio_to_polarizability(self):
-        # (4 pi/3) alpha / V_alpha = 1/(4 pi) under the default dipole rule
+        # (4 pi/3) alpha / V_alpha = 1/(4 pi) with the two-level dipole moment
         probe = na_probe()
         ratio = (4.0 * math.pi / 3.0) * polarizability(probe) / char_volume(probe)
         assert ratio == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
@@ -428,6 +430,64 @@ class TestShellIntegral:
         W = prof.trap.epsilon * prof.z_cut
         column = _pinhole_integral(lambda rho: rho, prof, pinhole, W, DEFAULT_TOL)
         assert column == pytest.approx(prof.pinhole_column(pinhole), rel=1e-10)
+
+
+class TestZeroTemperatureMpmathOracle:
+    """The local-field t_d and ln(transmission) of T = 0 clouds against mpmath.
+
+    The pinhole mean integrates over the sphere caps that each shell
+    |s| = s of the scaled coordinates keeps inside r < R, |eps z| < W,
+
+        (4 pi / eps) int_0^R_c s max(0, min(s, W) - sqrt(max(s^2 - R^2, 0))) F(rho(s)) ds,
+
+    a geometry independent of the substitution s = sqrt(R^2 + t^2) that
+    _pinhole_integral makes.  The density, alpha and L are written out from
+    the zero-temperature closed forms, not taken from the program."""
+
+    @pytest.mark.parametrize("stat,n_atoms,delta_gamma,pinhole", [
+        (Statistics.BOSE, 3.8e6, 10.0, 7.5e-6),
+        (Statistics.FERMI, 3.8e6, 10.0, 7.5e-6),
+        (Statistics.BOSE, 3.8e8, 3.0, 7.5e-6),   # x_peak = 0.735: a strong local field
+        (Statistics.FERMI, 1e9, 3.0, 30e-6),
+    ])
+    def test_delay_and_transmission(self, na_cloud, stat, n_atoms, delta_gamma, pinhole):
+        spec, trap, _ = na_cloud
+        gspec = GasSpec(stat, n_atoms, spec.mass, spec.a_sc)
+        s = char_scales(gspec, trap)
+        got = effective_group_velocity(gspec, trap, na_probe(delta_gamma, pinhole), 0.0)
+
+        with mp.workdps(20):
+            eps, R, c = mp.mpf(trap.epsilon), mp.mpf(pinhole), mp.mpf(c_light)
+            omega_0, gamma = mp.mpf(OMEGA_0), mp.mpf(GAMMA)
+            delta = delta_gamma * gamma
+            alpha = 3 * gamma / (4 * (omega_0 / c) ** 3 * delta)
+            if stat is Statistics.BOSE:
+                R_c, power = mp.mpf(s.R_B), 1
+                amp = 15 * n_atoms * eps / (8 * mp.pi * R_c**5)
+                L = R_c / (mp.sqrt(7) * eps)
+            else:
+                R_c, power = mp.mpf(s.R_F), mp.mpf(1.5)
+                amp = 8 * n_atoms * eps / (mp.pi**2 * R_c**6)
+                L = R_c / (mp.sqrt(8) * eps)
+
+            def pinhole_mean(F, W):
+                def shell(x):
+                    cap = min(x, W) - mp.sqrt(max(x * x - R * R, 0))
+                    return x * max(cap, 0) * F(amp * (R_c**2 - x * x) ** power)
+
+                # the cap's kinks: s = W, s = R and s = sqrt(R^2 + W^2), where it closes
+                kinks = (W, R, mp.sqrt(R * R + W * W))
+                edges = sorted({0, R_c, *(e for e in kinks if e < R_c)})
+                return 4 * mp.pi / eps * mp.quad(shell, edges) / (mp.pi * R * R)
+
+            b = 4 * mp.pi / 3 * alpha
+            K = 2 * mp.pi * omega_0 * alpha / (delta * c)
+            g = gamma / (2 * delta)
+            t_d = pinhole_mean(lambda rho: K * rho / (1 - b * rho) ** 2, R_c)
+            ln_T = -2 * omega_0 / c * pinhole_mean(
+                lambda rho: alpha * rho * g / ((1 - b * rho) ** 2 + g * g), eps * L / 2)
+        assert got.t_d == pytest.approx(float(t_d), rel=1e-9, abs=0.0)
+        assert math.log(got.transmission) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0)
 
 
 class TestEffectiveGroupVelocity:
