@@ -29,7 +29,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .constants import c as C_LIGHT
-from .gas import CharScales, GasSpec, Statistics, TrapGeometry, char_scales
+from .gas import (
+    CharScales, GasSpec, Statistics, TrapGeometry, char_scales, thermal_wavelength,
+)
 from .optics import ProbeParams, effective_group_velocity
 
 CSV_HEADER = "statistics,x,L_m,t_d_s,v_g_mps,transmission"
@@ -191,7 +193,7 @@ _KEYS = {
     "sweep.temperature": (_number, None),
 }
 _POSITIVE = (
-    "gas.atom_count", "gas.mass", "trap.frequency_hz", "trap.epsilon", "probe.wavelength",
+    "gas.mass", "trap.frequency_hz", "trap.epsilon", "probe.wavelength",
     "probe.linewidth_hz", "probe.pinhole_radius", "sweep.start", "sweep.temperature",
 )
 
@@ -247,6 +249,8 @@ def parse_config(text: str) -> RunConfig:
 
     a_sc, axis = v["gas.scattering_length"], v["sweep.axis"]
     start, stop = v["sweep.start"], v["sweep.stop"]
+    if v["gas.atom_count"] < 1.0:
+        raise invalid("gas.atom_count", f"must be >= 1, got {v['gas.atom_count']}")
     if a_sc < 0.0:
         raise invalid("gas.scattering_length", "must be >= 0")
     if v["probe.detuning_gamma"] == 0.0:
@@ -254,11 +258,16 @@ def parse_config(text: str) -> RunConfig:
     if v["sweep.points"] < 2:
         raise invalid("sweep.points", f"need at least 2, got {v['sweep.points']}")
     if not start < stop:
-        raise ConfigError(f"sweep.start must be < sweep.stop, got [{start}, {stop}]")
+        raise invalid("sweep.stop", f"must be > sweep.start, got [{start}, {stop}]")
     if axis == "detuning" and v["sweep.temperature"] is None:
-        raise ConfigError("missing required key 'sweep.temperature'")
+        raise invalid("sweep.axis", "a detuning sweep requires sweep.temperature")
     if axis == "temperature" and v["sweep.temperature"] is not None:
-        raise ConfigError("sweep.temperature: only valid for detuning sweeps")
+        raise invalid("sweep.temperature", "only valid for detuning sweeps")
+    # the gas spec is built with gas.statistics, the sweep runs sweep.statistics
+    for key, stats in (("gas.statistics", (v["gas.statistics"],)),
+                       ("sweep.statistics", v["sweep.statistics"] or ())):
+        if Statistics.BOSE in stats and a_sc == 0.0:
+            raise invalid(key, "Bose statistics requires a positive gas.scattering_length")
 
     omega_0 = 2.0 * math.pi * C_LIGHT / v["probe.wavelength"]
     gamma = 2.0 * math.pi * v["probe.linewidth_hz"]
@@ -273,8 +282,6 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if Statistics.BOSE in stats_list and a_sc <= 0.0:
-        raise ConfigError("gas.scattering_length: Bose statistics requires a positive value")
 
     sweep = SweepSpec(
         axis=axis, start=start, stop=stop, points=v["sweep.points"], scale=v["sweep.scale"],
@@ -404,15 +411,17 @@ def read_csv(path: str | os.PathLike) -> list[SweepRow]:
 _CHART_W, _CHART_H = 760, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 160, 40, 60
 _COLORS = {"fermi": "#c4461f", "bose": "#1f62c4", "boltzmann": "#3d9943"}
+_TICKS = 6
 
 
-def _linear_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _linear_ticks(lo: float, hi: float) -> list[float]:
+    # a 1-2-5 step that gives at most _TICKS intervals
     span = hi - lo
     if span <= 0.0:
         return [lo]
-    step = 10.0 ** math.floor(math.log10(span / target))
+    step = 10.0 ** math.floor(math.log10(span / _TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= target:
+        if span / (step * mult) <= _TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -431,6 +440,23 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
         ticks.append(10.0**k)
         k += 1
     return ticks
+
+
+def _px(v: float | int) -> str:
+    """A computed position to 0.01 px; the fixed layout's integers as they are."""
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+
+def _svg_line(x1, y1, x2, y2, stroke: str = "#444", width: str = "1") -> str:
+    return (f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _svg_text(x, y, size: int, body: str, anchor: str = "", transform: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{_px(x)}" y="{_px(y)}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{body}</text>')
 
 
 def emit_chart(
@@ -472,24 +498,24 @@ def emit_chart(
     def x_pix(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
+    # a log axis is a linear axis over log10(y)
+    axis = math.log10 if log_y else (lambda y: y)
+    top, bottom = axis(y_hi), axis(y_lo)
+    if top == bottom:  # 1.1 y rounds to y when y is subnormal
+        top = bottom + 1.0
+
+    def y_pix(y: float) -> float:
+        return _MARGIN_T + (top - axis(y)) / (top - bottom) * plot_h
+
     if log_y:
-        ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
-        if ly_hi == ly_lo:
-            ly_hi = ly_lo + 1.0
-
-        def y_pix(y: float) -> float:
-            return _MARGIN_T + (ly_hi - math.log10(y)) / (ly_hi - ly_lo) * plot_h
-
         y_ticks = _decade_ticks(y_lo, y_hi)
         y_tick_labels = [f"1e{int(round(math.log10(t))):+03d}" for t in y_ticks]
     else:
-
-        def y_pix(y: float) -> float:
-            return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
-
         y_ticks = _linear_ticks(y_lo, y_hi)
         y_tick_labels = [f"{t:g}" for t in y_ticks]
 
+    x_axis_y = _MARGIN_T + plot_h
+    mid_x, mid_y = _MARGIN_L + plot_w // 2, _MARGIN_T + plot_h // 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_W}" height="{_CHART_H}" '
         f'viewBox="0 0 {_CHART_W} {_CHART_H}">',
@@ -499,35 +525,15 @@ def emit_chart(
     ]
     for tick, label in zip(y_ticks, y_tick_labels):
         py = y_pix(tick)
-        if not _MARGIN_T - 1 <= py <= _MARGIN_T + plot_h + 1:
-            continue
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" y2="{py:.2f}" '
-            'stroke="#444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 9}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
-        )
+        if _MARGIN_T - 1 <= py <= x_axis_y + 1:
+            parts += [_svg_line(_MARGIN_L - 5, py, _MARGIN_L, py),
+                      _svg_text(_MARGIN_L - 9, py + 4, 12, label, "end")]
     for tick in _linear_ticks(x_lo, x_hi):
         px = x_pix(tick)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_T + plot_h}" x2="{px:.2f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="#444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{tick:g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_CHART_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="22" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 22 {_MARGIN_T + plot_h / 2:.0f})">{y_label}</text>'
-    )
+        parts += [_svg_line(px, x_axis_y, px, x_axis_y + 5),
+                  _svg_text(px, x_axis_y + 20, 12, f"{tick:g}", "middle")]
+    parts += [_svg_text(mid_x, _CHART_H - 14, 14, x_label, "middle"),
+              _svg_text(22, mid_y, 14, y_label, "middle", f"rotate(-90 22 {mid_y})")]
     for index, (name, points) in enumerate(series.items()):
         color = _COLORS.get(name, "#555555")
         coords = " ".join(f"{x_pix(x):.2f},{y_pix(y):.2f}" for x, y in points)
@@ -536,13 +542,8 @@ def emit_chart(
         )
         ly = _MARGIN_T + 16 + 20 * index
         lx = _MARGIN_L + plot_w + 12
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.6"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" font-size="13">{name}</text>'
-        )
+        parts += [_svg_line(lx, ly - 4, lx + 24, ly - 4, color, "1.6"),
+                  _svg_text(lx + 30, ly, 13, name)]
     parts.append("</svg>")
     _atomic_write(path, "\n".join(parts) + "\n")
 
@@ -561,7 +562,7 @@ def _format_scales(config: RunConfig) -> str:
         ("T_c", f"{s.T_c:.6e} K"),
         ("mu_TF", f"{s.mu_TF:.6e} J"),
         ("eta", f"{s.eta:.6f}"),
-        ("lambda_T(T_c)", f"{s.lambda_T(s.T_c):.6e} m"),
+        ("lambda_T(T_c)", f"{thermal_wavelength(config.gas.mass, s.T_c):.6e} m"),
         ("T_F/T_c", f"{s.T_F / s.T_c:.6f}"),
         ("temperature unit", f"{config.temperature_unit_name} = {config.temperature_unit:.6e} K"),
     ]
@@ -587,21 +588,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.command == "scales":
-            print(_format_scales(config))
-            return 0
         print(_format_scales(config))
+        if args.command == "scales":
+            return 0
         rows = run_sweep(config)
         out_csv = args.out or (Path(args.config).stem + "_sweep.csv")
         write_csv(rows, out_csv)
         print(f"wrote {len(rows)} rows to {out_csv}")
         if args.chart:
             if config.sweep.axis == "temperature":
-                emit_chart(rows, args.chart, y_field="v_g_mps",
-                           x_label=f"T / {config.temperature_unit_name}")
+                y_field, x_label = "v_g_mps", f"T / {config.temperature_unit_name}"
             else:
-                emit_chart(rows, args.chart, y_field="transmission",
-                           x_label="detuning / gamma")
+                y_field, x_label = "transmission", "detuning / gamma"
+            emit_chart(rows, args.chart, y_field=y_field, x_label=x_label)
             print(f"wrote chart to {args.chart}")
         return 0
     except (ConfigError, RuntimeError, OSError, ValueError) as exc:

@@ -106,12 +106,7 @@ class CharScales:
     R_B: float      # m, zero-T Thomas-Fermi condensate radius
     mu_TF: float    # J, Thomas-Fermi chemical potential at T = 0
     eta: float      # mu_TF / (k_B T_c)
-    mass: float     # kg, kept so lambda_T is self-contained
     epsilon: float  # trap aspect ratio, kept for optics.v_g_zero_T
-
-    def lambda_T(self, T: float) -> float:
-        """Thermal de Broglie wavelength at temperature T."""
-        return thermal_wavelength(self.mass, T)
 
 
 @dataclass(frozen=True)
@@ -159,8 +154,7 @@ def char_scales(spec: GasSpec, trap: TrapGeometry) -> CharScales:
         mu_TF = 0.0
     return CharScales(
         E_F=E_F, T_F=T_F, T_c=T_c, a_r=a_r, a_ho=a_ho,
-        R_F=R_F, R_B=R_B, mu_TF=mu_TF, eta=eta, mass=spec.mass,
-        epsilon=trap.epsilon,
+        R_F=R_F, R_B=R_B, mu_TF=mu_TF, eta=eta, epsilon=trap.epsilon,
     )
 
 
@@ -172,7 +166,7 @@ def mu_fermi(T: float, scales: CharScales) -> float:
         raise ValueError("mu_fermi requires T > 0")
     t = T / scales.T_F
     if t > 0.55:
-        return -k_B * T * math.log(6.0 * t**3)
+        return mu_classical(T, scales)
     return scales.E_F * (1.0 - math.pi**2 * t * t / 3.0)
 
 
@@ -247,9 +241,9 @@ class DensityProfile:
     At T = 0 there is no thermal part.
 
     Precomputes the chemical potential, wavelength, and amplitudes once so
-    quadrature loops pay only for the local special-function call.  Pure
-    and safe to share across threads.  tf_radius is R_c, where the density
-    kinks; 0 when there is no Thomas-Fermi term.
+    quadrature loops pay only for the local special-function call.
+    tf_radius is R_c, where the density kinks; 0 when there is no
+    Thomas-Fermi term.
     """
 
     def __init__(

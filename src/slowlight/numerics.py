@@ -30,6 +30,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, ClassVar, Sequence
 
 
@@ -142,46 +143,37 @@ def _polylog_series(s: float, z: float, tol: NumericTolerances) -> float:
     raise NonConvergenceError(f"polylog series stalled at s={s}, z={z}")
 
 
-def _lnz_coefficients(s: float, kmax: int) -> tuple[float, ...]:
-    # zeta(s - k)/k! for the expansion of Li_s(e^mu) about mu = 0.
-    coeffs = []
-    fact = 1.0
-    for k in range(kmax + 1):
-        if k:
-            fact *= k
-        u = s - k
-        coeffs.append(0.0 if u == 1.0 else riemann_zeta(u) / fact)
-    return tuple(coeffs)
-
-
-_LNZ_CACHE: dict[float, tuple[float, ...]] = {}
 _LNZ_KMAX = 24
 
 
+@lru_cache(maxsize=64)
+def _lnz_coefficients(s: float) -> tuple[float, ...]:
+    # zeta(s - k)/k! for the expansion of Li_s(e^mu) about mu = 0; 0 at
+    # zeta's pole s - k = 1 of an order that _is_integer accepts, where
+    # _polylog_near_one puts its log term instead.
+    coeffs = []
+    fact = 1.0
+    for k in range(_LNZ_KMAX + 1):
+        if k:
+            fact *= k
+        u = s - k
+        coeffs.append(0.0 if abs(u - 1.0) < 1e-12 else riemann_zeta(u) / fact)
+    return tuple(coeffs)
+
+
 def _polylog_near_one(s: float, z: float) -> float:
-    # Li_s(e^mu) = Gamma(1-s)(-mu)^{s-1} + sum_k zeta(s-k) mu^k / k!
-    # (non-integer s), log-modified for integer s; |mu| < 2pi.
+    # Li_s(e^mu) = Gamma(1-s)(-mu)^{s-1} + sum_k zeta(s-k) mu^k / k! for
+    # non-integer s; for integer s = n the pole term is mu^{n-1}(H_{n-1} -
+    # ln(-mu))/(n-1)! at k = n - 1 instead.  |mu| < 2pi.
     mu = math.log(z)
-    if s not in _LNZ_CACHE:
-        _LNZ_CACHE[s] = _lnz_coefficients(s, _LNZ_KMAX)
-    coeffs = _LNZ_CACHE[s]
-    if _is_integer(s):
-        n = round(s)
-        acc = 0.0
-        muk = 1.0
-        fact_nm1 = math.factorial(n - 1)
-        harmonic = sum(1.0 / i for i in range(1, n))
-        for k, c in enumerate(coeffs):
-            if k == n - 1:
-                if mu != 0.0:
-                    acc += muk * (harmonic - math.log(-mu)) / fact_nm1
-            else:
-                acc += c * muk
-            muk *= mu
-        return acc
-    acc = math.gamma(1.0 - s) * (-mu) ** (s - 1.0) if mu != 0.0 else 0.0
+    integer = _is_integer(s)
+    log_k = round(s) - 1 if integer else -1
+    acc = 0.0 if integer or mu == 0.0 else math.gamma(1.0 - s) * (-mu) ** (s - 1.0)
     muk = 1.0
-    for c in coeffs:
+    for k, c in enumerate(_lnz_coefficients(s)):
+        if k == log_k and mu != 0.0:
+            harmonic = sum(1.0 / i for i in range(1, k + 1))
+            acc += muk * (harmonic - math.log(-mu)) / math.factorial(k)
         acc += c * muk
         muk *= mu
     return acc
@@ -272,13 +264,6 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
         return _fd_integer(round(nu), x, tol)
     if x < SOMMERFELD_SWITCH:
         return -_polylog_negative_axis(nu, x)
-    return _fd_sommerfeld(nu, x)
-
-
-def fermi_dirac_sommerfeld(nu: float, x: float) -> float:
-    """Asymptotic branch on its own, for overlap checks against the exact route."""
-    if x <= 0.0:
-        raise DomainError("Sommerfeld branch requires x > 0")
     return _fd_sommerfeld(nu, x)
 
 

@@ -157,11 +157,10 @@ def group_velocity_local(rho: float, probe: ProbeParams) -> float:
     )
 
 
-def group_velocity_from_dispersion(
-    rho: float, probe: ProbeParams, rel_step: float = 1e-5
-) -> float:
+def group_velocity_from_dispersion(rho: float, probe: ProbeParams) -> float:
     """Cross-check path: v_g from c / (1 + 2 pi chi' + 2 pi omega_0 dchi'/domega)
-    with the frequency derivative taken numerically at omega_0 + Delta.
+    with the frequency derivative taken at omega_0 + Delta by a central
+    difference of step 1e-5 |Delta|.
 
     The derivative term enters with the sign that reproduces the closed
     form above (the dispersive slope of the off-resonant response is
@@ -174,7 +173,7 @@ def group_velocity_from_dispersion(
         return susceptibility(rho, shifted).chi_re
 
     omega = probe.omega_0 + probe.delta
-    h = rel_step * abs(probe.delta)
+    h = 1e-5 * abs(probe.delta)
     dchi = (chi_re_at(omega + h) - chi_re_at(omega - h)) / (2.0 * h)
     return c_light / (
         1.0 + 2.0 * math.pi * chi_re_at(omega) - 2.0 * math.pi * probe.omega_0 * dchi

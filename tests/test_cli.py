@@ -1,5 +1,6 @@
 """Config parsing, sweep orchestration, CSV, and SVG output."""
 
+import hashlib
 import math
 import re
 import subprocess
@@ -113,6 +114,24 @@ class TestParseConfig:
         lines = [line for line in TINY_SWEEP.splitlines() if not line.startswith(key + " ")]
         lines.append(f"{key} = {value}")
         with pytest.raises(ConfigError, match=rf"^line {len(lines)}: {re.escape(key)}: ") as err:
+            parse_config("\n".join(lines))
+        assert err.value.line == len(lines)
+
+    # a rule that spans keys reports the key whose value it refuses, with its
+    # line, and names the other key involved
+    @pytest.mark.parametrize("key,value,named", [
+        ("sweep.stop", "0.8", "sweep.start"),
+        ("sweep.temperature", "0.5", "detuning sweeps"),
+        ("sweep.axis", "detuning", "sweep.temperature"),
+        ("gas.statistics", "bose", "gas.scattering_length"),
+        ("sweep.statistics", "fermi, bose", "gas.scattering_length"),
+        ("gas.atom_count", "0.5", ">= 1"),
+    ])
+    def test_cross_field_refusal_names_key_and_line(self, key, value, named):
+        lines = [line for line in TINY_SWEEP.splitlines() if not line.startswith(key + " ")]
+        lines.append(f"{key} = {value}")
+        with pytest.raises(ConfigError, match=rf"^line {len(lines)}: {re.escape(key)}: "
+                                              rf".*{re.escape(named)}") as err:
             parse_config("\n".join(lines))
         assert err.value.line == len(lines)
 
@@ -297,6 +316,34 @@ class TestChart:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_chart([], tmp_path / "nope.svg")
+
+    # The whole SVG, pinned: a rewrite of emit_chart must keep every byte.
+    # The last two hit the flat-range guards; 1.1 * 5e-324 rounds to 5e-324.
+    @pytest.mark.parametrize("case,y_field,x_label,digest", [
+        ("three_stats", "v_g_mps", "T / T_c",
+         "a4768ea27d1345fb99261ff42bfa70c987283415078db9c31332681189611157"),
+        ("transmission", "transmission", "detuning / gamma",
+         "7d49c3a82cd9f110864c288740fe31c3f422770c066bce170e77220fb1ec5254"),
+        ("one_row", "v_g_mps", "T / T_F",
+         "eac6adffea126a56bcca4969d6654cd7e04c4a4c050c0a784ea9235359c768f5"),
+        ("flat_transmission", "transmission", "detuning / gamma",
+         "00388171095b8fac486d6ee98bdce2fe17bda2d43425197859bb89bf29632cf1"),
+        ("subnormal_v_g", "v_g_mps", "T / T_c",
+         "6cae71b156f96110262a4845475869b23ae7ec5cf895c44ba1ada440aea81bea"),
+    ])
+    def test_chart_bytes_pinned(self, tmp_path, case, y_field, x_label, digest):
+        rows = {
+            "three_stats": self.rows_three_stats(),
+            "transmission": [SweepRow("bose", x, 1e-5, 1e-8, 100.0, 0.1 + 0.08 * x)
+                             for x in range(10)],
+            "one_row": [SweepRow("fermi", 0.5, 1e-5, 1e-8, 595.0, 0.8)],
+            "flat_transmission": [SweepRow(s, x, 1e-5, 1e-8, 100.0, 0.75)
+                                  for s in ("fermi", "bose") for x in (3.0, 8.0, 20.0)],
+            "subnormal_v_g": [SweepRow("bose", x, 1e-5, 1e-8, 5e-324, 0.5) for x in (0.5, 1.0)],
+        }[case]
+        path = tmp_path / "pinned.svg"
+        emit_chart(rows, path, y_field=y_field, x_label=x_label)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCommandLine:

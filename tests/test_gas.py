@@ -85,11 +85,9 @@ class TestCharScales:
         assert s.eta == pytest.approx(0.2617, rel=2e-3)
         assert s.mu_TF == pytest.approx(s.eta * k_B * s.T_c, rel=1e-12, abs=0.0)
 
-    def test_thermal_wavelength(self, na_cloud):
-        _, _, s = na_cloud
+    def test_thermal_wavelength(self):
         T = 300e-9
         expected = (2.0 * math.pi * hbar) / math.sqrt(2.0 * math.pi * MASS_NA * k_B * T)
-        assert s.lambda_T(T) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert thermal_wavelength(MASS_NA, T) == expected
 
 

@@ -18,12 +18,12 @@ from slowlight.numerics import (
     NumericTolerances,
     SOMMERFELD_SWITCH,
     fermi_dirac_f,
-    fermi_dirac_sommerfeld,
     find_root,
     integrate_1d,
     integrate_cylindrical,
     polylog,
     riemann_zeta,
+    _fd_sommerfeld,
 )
 
 mp.mp.dps = 30
@@ -147,7 +147,7 @@ class TestFermiDirac:
 
         for x in (SOMMERFELD_SWITCH - 3.0, SOMMERFELD_SWITCH, SOMMERFELD_SWITCH + 3.0):
             exact = -_polylog_negative_axis(1.5, x)
-            asym = fermi_dirac_sommerfeld(1.5, x)
+            asym = _fd_sommerfeld(1.5, x)
             full = fermi_dirac_f(1.5, x)
             assert asym == pytest.approx(exact, rel=10 * DEFAULT_TOL.rel_tol_quadrature)
             assert full == pytest.approx(exact, rel=10 * DEFAULT_TOL.rel_tol_quadrature)
@@ -172,7 +172,7 @@ class TestFermiDirac:
         # (4 / 3 sqrt(pi)) x^(3/2) (1 + pi^2 / (8 x^2) + ...)
         x = 25.0
         leading = 4.0 / (3.0 * math.sqrt(math.pi)) * x**1.5 * (1.0 + math.pi**2 / (8 * x * x))
-        assert fermi_dirac_sommerfeld(1.5, x) == pytest.approx(leading, rel=1e-5)
+        assert _fd_sommerfeld(1.5, x) == pytest.approx(leading, rel=1e-5)
 
 
 class TestIntegrate1d:
