@@ -23,15 +23,13 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, replace
-from importlib import resources
+from collections import namedtuple
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .constants import c as C_LIGHT
-from .gas import (
-    CharScales, GasSpec, Statistics, TrapGeometry, char_scales, thermal_wavelength,
-)
+from .gas import GasSpec, Statistics, TrapGeometry, char_scales, thermal_wavelength
+from .numerics import replace
 from .optics import ProbeParams, effective_group_velocity
 
 CSV_HEADER = "statistics,x,L_m,t_d_s,v_g_mps,transmission"
@@ -45,15 +43,16 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: str                 # "temperature" | "detuning"
-    start: float
-    stop: float
-    points: int
-    scale: str                # "linear" | "log"
-    statistics_list: tuple[Statistics, ...]
-    temperature: float | None = None  # reduced T, required for detuning sweeps
+class SweepSpec(namedtuple("SweepSpec", [
+    "axis",             # "temperature" | "detuning"
+    "start",
+    "stop",
+    "points",
+    "scale",            # "linear" | "log"
+    "statistics_list",  # tuple of Statistics
+    "temperature",      # reduced T, required for detuning sweeps
+], defaults=(None,))):
+    __slots__ = ()
 
     def grid(self) -> list[float]:
         # numpy's linspace/geomspace arithmetic: start + i*step with the
@@ -66,13 +65,8 @@ class SweepSpec:
         return [self.start, *(10.0**v if log else v for v in inner), self.stop]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    gas: GasSpec
-    trap: TrapGeometry
-    probe: ProbeParams
-    sweep: SweepSpec
-    scales: CharScales
+class RunConfig(namedtuple("RunConfig", "gas trap probe sweep scales")):
+    __slots__ = ()
 
     @property
     def only_fermi(self) -> bool:
@@ -88,14 +82,8 @@ class RunConfig:
         return "T_F" if self.only_fermi else "T_c"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    statistics: str
-    x: float
-    L_m: float
-    t_d_s: float
-    v_g_mps: float
-    transmission: float
+class SweepRow(namedtuple("SweepRow", "statistics x L_m t_d_s v_g_mps transmission")):
+    __slots__ = ()
 
 
 _LENGTH_SUFFIX = {
@@ -302,6 +290,8 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 
 def preset_text(name: str) -> str:
     """Text of a shipped preset ('fig1' or 'fig2')."""
+    from importlib import resources  # off the run path, which never reads a preset
+
     return resources.files("slowlight.presets").joinpath(f"{name}.preset").read_text("utf-8")
 
 

@@ -23,7 +23,7 @@ A (R_c^2 - s^2)^p, s^2 = r^2 + eps^2 z^2, either of which may be absent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -53,35 +53,34 @@ class Statistics(str, Enum):
     BOLTZMANN = "boltzmann"
 
 
-@dataclass(frozen=True)
-class TrapGeometry:
-    """Axially symmetric harmonic trap: radial frequency and aspect ratio."""
+class TrapGeometry(namedtuple("TrapGeometry", "omega_r epsilon")):
+    """Axially symmetric harmonic trap: radial frequency omega_r (rad/s) and
+    aspect ratio epsilon = omega_z / omega_r."""
 
-    omega_r: float  # rad/s
-    epsilon: float  # omega_z / omega_r
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, omega_r: float, epsilon: float):
+        self = tuple.__new__(cls, (omega_r, epsilon))
         require_finite(self, "omega_r", "epsilon")
         if self.omega_r <= 0.0:
             raise ValueError("trap omega_r must be positive")
         if self.epsilon <= 0.0:
             raise ValueError("trap epsilon must be positive")
+        return self
 
     def potential(self, mass: float, r: float, z: float) -> float:
         """V(r, z) in joules."""
         return 0.5 * mass * self.omega_r**2 * (r * r + self.epsilon**2 * z * z)
 
 
-@dataclass(frozen=True)
-class GasSpec:
-    """Species definition: statistics, atom number, mass, scattering length."""
+class GasSpec(namedtuple("GasSpec", "statistics n_atoms mass a_sc")):
+    """Species definition: statistics, atom number, mass (kg) and scattering
+    length a_sc (m, used only for Bose statistics)."""
 
-    statistics: Statistics
-    n_atoms: float
-    mass: float  # kg
-    a_sc: float = 0.0  # m, used only for Bose statistics
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, statistics: Statistics, n_atoms: float, mass: float, a_sc: float = 0.0):
+        self = tuple.__new__(cls, (statistics, n_atoms, mass, a_sc))
         require_finite(self, "n_atoms", "mass", "a_sc")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
@@ -91,32 +90,30 @@ class GasSpec:
             raise ValueError("scattering length must be >= 0")
         if self.statistics is Statistics.BOSE and self.a_sc == 0.0:
             raise ValueError("Bose statistics requires a positive a_sc")
+        return self
 
 
-@dataclass(frozen=True)
-class CharScales:
+class CharScales(namedtuple("CharScales", [
+    "E_F",      # J
+    "T_F",      # K
+    "T_c",      # K
+    "a_r",      # m, radial oscillator length
+    "a_ho",     # m, mean oscillator length a_r eps^(-1/6)
+    "R_F",      # m, zero-T Fermi radius
+    "R_B",      # m, zero-T Thomas-Fermi condensate radius
+    "mu_TF",    # J, Thomas-Fermi chemical potential at T = 0
+    "eta",      # mu_TF / (k_B T_c)
+    "epsilon",  # trap aspect ratio, kept for optics.v_g_zero_T
+])):
     """Derived characteristic quantities of a (spec, trap) pair."""
 
-    E_F: float      # J
-    T_F: float      # K
-    T_c: float      # K
-    a_r: float      # m, radial oscillator length
-    a_ho: float     # m, mean oscillator length a_r eps^(-1/6)
-    R_F: float      # m, zero-T Fermi radius
-    R_B: float      # m, zero-T Thomas-Fermi condensate radius
-    mu_TF: float    # J, Thomas-Fermi chemical potential at T = 0
-    eta: float      # mu_TF / (k_B T_c)
-    epsilon: float  # trap aspect ratio, kept for optics.v_g_zero_T
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(namedtuple("ThermoPoint", "T mu fugacity condensate_fraction")):
     """Chemical potential and condensate data at one temperature."""
 
-    T: float
-    mu: float
-    fugacity: float
-    condensate_fraction: float
+    __slots__ = ()
 
 
 def thermal_wavelength(mass: float, T: float) -> float:

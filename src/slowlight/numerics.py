@@ -29,9 +29,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from typing import Callable, ClassVar, Sequence
 
 
 class DomainError(ValueError):
@@ -55,23 +55,33 @@ def require_finite(obj: object, *fields: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class NumericTolerances:
+def replace(record, **changes):
+    """Copy of a record with some fields changed.
+
+    The package's records are namedtuple subclasses that run their checks
+    in __new__; the copy goes through the constructor so that the checks
+    run again, which namedtuple's own _replace would skip."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
+class NumericTolerances(namedtuple("NumericTolerances", "rel_tol_quadrature")):
     """The quadrature tolerance, threaded explicitly through every routine.
 
     The root tolerance, the series cutoff and the iteration budget are
     constants of the class: every run uses the same values, and the tests
     and the benchmark read them through any instance."""
 
-    rel_tol_quadrature: float = 1e-8
-    rel_tol_root: ClassVar[float] = 1e-12
-    series_cutoff: ClassVar[float] = 0.5
-    max_iterations: ClassVar[int] = 400  # series terms, root steps, quadrature panels
+    __slots__ = ()
+    rel_tol_root = 1e-12
+    series_cutoff = 0.5
+    max_iterations = 400  # series terms, root steps, quadrature panels
 
-    def __post_init__(self) -> None:
+    def __new__(cls, rel_tol_quadrature: float = 1e-8):
+        self = tuple.__new__(cls, (rel_tol_quadrature,))
         require_finite(self, "rel_tol_quadrature")
         if self.rel_tol_quadrature <= 0:
             raise ValueError("tolerances must be strictly positive")
+        return self
 
 
 DEFAULT_TOL = NumericTolerances()
@@ -409,7 +419,7 @@ def integrate_cylindrical(
     """
     if r_max <= 0.0 or z_max <= 0.0:
         raise DomainError("r_max and z_max must be positive")
-    inner_tol = replace(tol, rel_tol_quadrature=tol.rel_tol_quadrature / 4.0)
+    inner_tol = NumericTolerances(tol.rel_tol_quadrature / 4.0)
 
     def column(r: float) -> float:
         pts = z_breakpoints(r) if z_breakpoints is not None else None

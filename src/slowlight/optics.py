@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .constants import c as c_light, hbar
 from .gas import (
@@ -49,6 +49,7 @@ from .numerics import (
     NumericTolerances,
     integrate_1d,
     integrate_cylindrical,  # the perfbench tracer wraps this name
+    replace,
     require_finite,
 )
 
@@ -70,17 +71,16 @@ class LocalFieldPoleError(ValueError):
     inside the cloud."""
 
 
-@dataclass(frozen=True)
-class ProbeParams:
-    """Probe definition: resonance, linewidth, detuning, pinhole."""
+class ProbeParams(namedtuple("ProbeParams", "omega_0 gamma delta pinhole_R local_field_on")):
+    """Probe definition: atomic resonance omega_0, spontaneous linewidth
+    gamma and detuning delta = omega - omega_0 (all rad/s), pinhole radius
+    pinhole_R (m), and whether the local-field denominator is on."""
 
-    omega_0: float          # rad/s atomic resonance
-    gamma: float            # rad/s spontaneous linewidth
-    delta: float            # rad/s detuning omega - omega_0
-    pinhole_R: float        # m
-    local_field_on: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, omega_0: float, gamma: float, delta: float, pinhole_R: float,
+                local_field_on: bool = True):
+        self = tuple.__new__(cls, (omega_0, gamma, delta, pinhole_R, local_field_on))
         require_finite(self, "omega_0", "gamma", "delta", "pinhole_R")
         if self.omega_0 <= 0.0 or self.gamma <= 0.0:
             raise ValueError("omega_0 and gamma must be positive")
@@ -93,24 +93,20 @@ class ProbeParams:
                 "detuning below 3*gamma: far-off-resonance response is marginal",
                 stacklevel=2,
             )
+        return self
 
 
-@dataclass(frozen=True)
-class Susceptibility:
+class Susceptibility(namedtuple("Susceptibility", "chi_re chi_abs")):
     """Real part and nonnegative absorptive part of chi."""
 
-    chi_re: float
-    chi_abs: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PropagationResult:
-    """Bundle of slow-light observables at one sweep point."""
+class PropagationResult(namedtuple("PropagationResult", "L t_d v_g_eff transmission")):
+    """Bundle of slow-light observables at one sweep point: L (m), the
+    excess delay over vacuum t_d (s), v_g_eff (m/s), transmission in (0, 1]."""
 
-    L: float             # m
-    t_d: float           # s, excess delay over vacuum
-    v_g_eff: float       # m/s
-    transmission: float  # in (0, 1]
+    __slots__ = ()
 
 
 def polarizability(probe: ProbeParams) -> float:

@@ -2,15 +2,16 @@
 
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slowlight
 from slowlight import cli
 from slowlight.cli import (
     CSV_HEADER,
@@ -27,7 +28,9 @@ from slowlight.cli import (
     run_sweep,
     write_csv,
 )
-from slowlight.gas import Statistics
+from slowlight.gas import GasSpec, Statistics, TrapGeometry
+from slowlight.numerics import NumericTolerances
+from slowlight.optics import ProbeParams, ZeroDetuningError
 
 TINY_SWEEP = """
 gas.statistics        = boltzmann
@@ -229,6 +232,18 @@ class TestRunSweep:
             assert r.v_g_mps == pytest.approx(2.99792458e8, rel=1e-3)
             assert r.transmission == pytest.approx(1.0, abs=1e-6)
 
+    def test_sweep_point_rebuilds_probe_through_its_checks(self):
+        # each detuning point builds its ProbeParams through the constructor,
+        # so the near-resonance warning and the zero-detuning refusal apply
+        text = TINY_SWEEP.replace("sweep.axis            = temperature",
+                                  "sweep.axis            = detuning")
+        cfg = parse_config(text + "sweep.temperature = 1.0\n")
+        with pytest.warns(UserWarning, match=r"detuning below 3\*gamma"):
+            row = cli._sweep_point(cfg, Statistics.BOLTZMANN, 2.0)
+        assert row.x == 2.0
+        with pytest.raises(ZeroDetuningError):
+            cli._sweep_point(cfg, Statistics.BOLTZMANN, 0.0)
+
 
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):
@@ -259,10 +274,11 @@ class TestCsv:
         ("v_g_mps", 0.0), ("v_g_mps", 3.1e8),
     ])
     def test_bad_row_rejected_without_writing(self, tmp_path, field, value):
-        good = SweepRow("bose", 0.5, 2.9e-5, 4.9e-8, 595.0, 0.8126)
+        values = dict(statistics="bose", x=0.5, L_m=2.9e-5, t_d_s=4.9e-8, v_g_mps=595.0,
+                      transmission=0.8126)
         path = tmp_path / "bad.csv"
         with pytest.raises(OutputRowError):
-            write_csv([good, replace(good, **{field: value})], path)
+            write_csv([SweepRow(**values), SweepRow(**{**values, field: value})], path)
         assert not path.exists()
 
     def test_sweep_csv_round_trip(self, tmp_path):
@@ -436,8 +452,11 @@ class TestCommandLine:
         assert "a_r" in result.stdout
 
     def test_run_path_imports_no_numpy_or_scipy(self, tmp_path):
-        # numpy and scipy are test dependencies only; a whole run, log grid
-        # included, must not load either of them
+        # numpy and scipy are test dependencies only, and the records need
+        # neither dataclasses nor inspect: a whole run, log grid included,
+        # must load none of them, nor typing or importlib.resources.  The
+        # child runs under -S, since a site .pth may preload typing and
+        # importlib.resources; PYTHONPATH then finds the package itself.
         cfg = tmp_path / "log.config"
         cfg.write_text(TINY_SWEEP.replace("sweep.points          = 3",
                                           "sweep.points          = 2\nsweep.scale = log"),
@@ -446,9 +465,30 @@ class TestCommandLine:
             "import sys\n"
             "from slowlight.cli import main\n"
             f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'log.csv')!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')))\n"
+            "banned = {'dataclasses', 'inspect', 'typing', 'importlib.resources'}\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] in ('numpy', 'scipy') or m in banned))\n"
         )
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        package_parent = Path(slowlight.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_parent)}
+        result = subprocess.run([sys.executable, "-S", "-c", script],
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         assert len((tmp_path / "log.csv").read_text().splitlines()) == 3
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make,field", [
+        (lambda: GasSpec(Statistics.BOSE, 3.8e6, 3.81754e-26, 2.75e-9), "n_atoms"),
+        (lambda: TrapGeometry(2.0 * math.pi * 69.0, 1.0 / 3.0), "epsilon"),
+        (lambda: NumericTolerances(1e-9), "rel_tol_quadrature"),
+        (lambda: ProbeParams(3.2e15, 6.3e7, 6.3e8, 7.5e-6, local_field_on=False), "delta"),
+        (lambda: SweepRow("bose", 0.5, 2.9e-5, 4.9e-8, 595.0, 0.8126), "x"),
+    ], ids=["GasSpec", "TrapGeometry", "NumericTolerances", "ProbeParams", "SweepRow"])
+    def test_immutable_and_compared_by_value(self, make, field):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, 1.0)
+        assert a == b

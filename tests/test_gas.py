@@ -131,10 +131,10 @@ class TestChemicalPotentials:
     def test_normalization_solved_mu_matches_branches_in_their_limits(self, na_cloud):
         _, _, s = na_cloud
         assert solve_mu_fermi(0.05 * s.T_F, s) == pytest.approx(
-            mu_fermi(0.05 * s.T_F, s), rel=2e-3
+            mu_fermi(0.05 * s.T_F, s), rel=2e-3, abs=0.0
         )
         assert solve_mu_fermi(4.0 * s.T_F, s) == pytest.approx(
-            mu_fermi(4.0 * s.T_F, s), rel=2e-3
+            mu_fermi(4.0 * s.T_F, s), rel=2e-3, abs=0.0
         )
 
 
@@ -233,7 +233,7 @@ class TestDensityProfiles:
                 lambda r, z: z * z * prof.at(r, z), prof.r_cut, prof.z_cut
             )
             norm = integrate_cylindrical(prof.at, prof.r_cut, prof.z_cut)
-            assert moment / norm == pytest.approx(expected, rel=1e-6)
+            assert moment / norm == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("stat,unit", [
         (Statistics.FERMI, "T_F"),

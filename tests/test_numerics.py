@@ -183,7 +183,7 @@ class TestIntegrate1d:
         # int_0^Rb r (Rb^2 - r^2)^(3/2) dr = Rb^5 / 5
         r_b = 17.76e-6
         got = integrate_1d(lambda r: r * (r_b**2 - r * r) ** 1.5, 0.0, r_b)
-        assert got == pytest.approx(r_b**5 / 5.0, rel=1e-8)
+        assert got == pytest.approx(r_b**5 / 5.0, rel=1e-8, abs=0.0)
 
     def test_zero_function(self):
         assert integrate_1d(lambda x: 0.0, 0.0, 1.0) == 0.0

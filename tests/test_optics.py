@@ -223,7 +223,7 @@ class TestDelayTime:
             excess = 1.0 / group_velocity_local(rho0, probe) - 1.0 / c_light
             volume = (4.0 * math.pi / 3.0) * (S**3 - max(S * S - R * R, 0.0) ** 1.5)
             expected = excess * volume / (ball.trap.epsilon * math.pi * R * R)
-            assert got == pytest.approx(expected, rel=1e-8)
+            assert got == pytest.approx(expected, rel=1e-8, abs=0.0)
         # a dilute ball, where 1/v_g - 1/c would round to a staircase: the
         # excess slowness K rho0 / D^2 holds to rounding
         rho0, R = 1e4, 7.5e-6
@@ -496,7 +496,7 @@ class TestEffectiveGroupVelocity:
         probe = na_probe()
         T = 0.5 * s.T_c
         res = effective_group_velocity(spec, trap, probe, T)
-        assert res.L == pytest.approx(effective_length(spec, trap, T), rel=1e-9)
+        assert res.L == pytest.approx(effective_length(spec, trap, T), rel=1e-9, abs=0.0)
         assert res.t_d == pytest.approx(delay_time(spec, trap, probe, T), rel=1e-9, abs=0.0)
         # slow-light regime: L / t_d to parts in 1e6
         assert res.v_g_eff == pytest.approx(res.L / res.t_d, rel=1e-5)
