@@ -40,7 +40,6 @@ from .numerics import (
 
 ZETA_3 = riemann_zeta(3.0)
 ZETA_2 = riemann_zeta(2.0)
-ZETA_3_HALF = riemann_zeta(1.5)
 
 
 class UnsupportedStatisticsError(ValueError):
@@ -174,9 +173,7 @@ def mu_classical(T: float, scales: CharScales) -> float:
     return -k_B * T * math.log(6.0 * (T / scales.T_F) ** 3)
 
 
-def solve_mu_fermi(
-    T: float, scales: CharScales, tol: NumericTolerances = DEFAULT_TOL
-) -> float:
+def solve_mu_fermi(T: float, scales: CharScales) -> float:
     """Fermi chemical potential fixed by N = int rho dV, i.e. the root of
     f_3(e^{beta mu}) = (T_F/T)^3 / 6.  This is the mu the density uses;
     mu_fermi gives the closed-form limiting branches."""
@@ -187,7 +184,7 @@ def solve_mu_fermi(
     guesses = (mu_fermi(T, scales) * beta, mu_classical(T, scales) * beta)
     lo = min(guesses) - 10.0
     hi = max(guesses) + 10.0
-    x = find_root(lambda u: fermi_dirac_f(3.0, u, tol) - target, lo, hi, tol)
+    x = find_root(lambda u: fermi_dirac_f(3.0, u) - target, lo, hi)
     return x / beta
 
 
@@ -204,10 +201,7 @@ def condensate_fraction(T: float, scales: CharScales) -> float:
     return max(value, 0.0)
 
 
-def mu_bose(
-    T: float, spec: GasSpec, scales: CharScales,
-    tol: NumericTolerances = DEFAULT_TOL,
-) -> ThermoPoint:
+def mu_bose(T: float, spec: GasSpec, scales: CharScales) -> ThermoPoint:
     """Bose-gas thermodynamic point.
 
     Above T_c the fugacity solves Li_3(z) = zeta(3) (T_c/T)^3.  At and
@@ -221,7 +215,7 @@ def mu_bose(
         return ThermoPoint(T=0.0, mu=scales.mu_TF, fugacity=1.0, condensate_fraction=1.0)
     if T > scales.T_c:
         target = ZETA_3 * (scales.T_c / T) ** 3
-        z = find_root(lambda u: polylog(3.0, u, tol) - target, 1e-300, 1.0, tol)
+        z = find_root(lambda u: polylog(3.0, u) - target, 1e-300, 1.0)
         return ThermoPoint(T=T, mu=k_B * T * math.log(z), fugacity=z, condensate_fraction=0.0)
     frac = condensate_fraction(T, scales)
     return ThermoPoint(T=T, mu=scales.mu_TF * frac**0.4, fugacity=1.0, condensate_fraction=frac)
@@ -243,17 +237,10 @@ class DensityProfile:
     Thomas-Fermi term.
     """
 
-    def __init__(
-        self,
-        spec: GasSpec,
-        trap: TrapGeometry,
-        T: float,
-        tol: NumericTolerances = DEFAULT_TOL,
-    ) -> None:
+    def __init__(self, spec: GasSpec, trap: TrapGeometry, T: float) -> None:
         self.spec = spec
         self.trap = trap
         self.T = T
-        self.tol = tol
         self.scales = char_scales(spec, trap)
         s = self.scales
         stats = spec.statistics
@@ -281,10 +268,10 @@ class DensityProfile:
         self._vcoef = 0.5 * spec.mass * trap.omega_r**2 * beta
         sigma_r = math.sqrt(k_B * T / (spec.mass * trap.omega_r**2))
         if stats is Statistics.FERMI:
-            self._x0 = solve_mu_fermi(T, s, tol) * beta
+            self._x0 = solve_mu_fermi(T, s) * beta
             self.r_cut = 8.0 * max(s.R_F, sigma_r)
         elif stats is Statistics.BOSE:
-            point = mu_bose(T, spec, s, tol)
+            point = mu_bose(T, spec, s)
             self._fugacity = point.fugacity
             self._kappa = 1.0
             if T <= s.T_c:
@@ -310,10 +297,10 @@ class DensityProfile:
         the moments below."""
         stats = self.spec.statistics
         if stats is Statistics.FERMI:
-            return fermi_dirac_f(order, self._x0 - v, self.tol)
+            return fermi_dirac_f(order, self._x0 - v)
         if stats is Statistics.BOLTZMANN:
             return self._zmu * math.exp(-v)
-        return self._kappa * polylog(order, self._fugacity * math.exp(-v), self.tol)
+        return self._kappa * polylog(order, self._fugacity * math.exp(-v))
 
     def at(self, r: float, z: float) -> float:
         """Number density in m^-3."""
@@ -386,6 +373,9 @@ def _cap_fraction(u2: float, power: float) -> float:
     return -math.expm1(power * math.log1p(-u2)) if u2 < 1.0 else 1.0
 
 
+# The profile reads no NumericTolerances: the fourth argument is only part of
+# the cache key.  optics passes DEFAULT_TOL there, and so does
+# perfbench/layers.py, which warms this cache before it times effective_length.
 @lru_cache(maxsize=64)
 def make_profile(
     spec: GasSpec,
@@ -393,20 +383,13 @@ def make_profile(
     T: float,
     tol: NumericTolerances = DEFAULT_TOL,
 ) -> DensityProfile:
-    return DensityProfile(spec, trap, T, tol)
+    return DensityProfile(spec, trap, T)
 
 
-def density(
-    spec: GasSpec,
-    trap: TrapGeometry,
-    T: float,
-    r: float,
-    z: float,
-    tol: NumericTolerances = DEFAULT_TOL,
-) -> float:
+def density(spec: GasSpec, trap: TrapGeometry, T: float, r: float, z: float) -> float:
     """Number density rho(r, z) at temperature T >= 0 from the cached
     DensityProfile; at T = 0 only its Thomas-Fermi term remains (Bose and
     Fermi), and a Boltzmann cloud raises UnsupportedStatisticsError."""
     if T < 0.0:
         raise ValueError("density requires T >= 0")
-    return make_profile(spec, trap, T, tol).at(r, z)
+    return make_profile(spec, trap, T).at(r, z)

@@ -65,11 +65,16 @@ def replace(record, **changes):
 
 
 class NumericTolerances(namedtuple("NumericTolerances", "rel_tol_quadrature")):
-    """The quadrature tolerance, threaded explicitly through every routine.
+    """The quadrature tolerance of integrate_1d, integrate_cylindrical and
+    the optics observables built on them, the only routines whose result
+    depends on it.
 
     The root tolerance, the series cutoff and the iteration budget are
-    constants of the class: every run uses the same values, and the tests
-    and the benchmark read them through any instance."""
+    constants of the class: every run uses the same values.  find_root and
+    the quadrature loop read them from the class.  polylog, fermi_dirac_f
+    and their helpers still take a record and read them through it, and
+    make_profile keeps one in its cache key, because the benchmark's tracer
+    and layer timings call them with one."""
 
     __slots__ = ()
     rel_tol_root = 1e-12
@@ -349,7 +354,7 @@ def _quad(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: NumericTolerances,
+    rel_tol: float,
     points: Sequence[float] | None,
 ) -> tuple[float, float]:
     # Globally adaptive: the breakpoints cut the first panels, then the panel
@@ -357,11 +362,11 @@ def _quad(
     # meets the tolerance or the budget of panels is spent.
     edges = [a, *sorted({p for p in points or () if a < p < b}), b]
     panels = [[lo, hi, *_qk21(f, lo, hi)] for lo, hi in zip(edges, edges[1:])]
-    limit = tol.max_iterations
+    limit = NumericTolerances.max_iterations
     while True:
         val = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
-        if err <= tol.rel_tol_quadrature * abs(val):
+        if err <= rel_tol * abs(val):
             return val, err
         if len(panels) >= limit:
             message = f"The maximum number of subdivisions ({limit}) has been achieved."
@@ -374,7 +379,7 @@ def _quad(
             break
         worst[1:] = [mid, *_qk21(f, lo, mid)]
         panels.append([mid, hi, *_qk21(f, mid, hi)])
-    bound = max(_FLAGGED_SLACK * tol.rel_tol_quadrature * abs(val), _TINY)
+    bound = max(_FLAGGED_SLACK * rel_tol * abs(val), _TINY)
     if err > bound:
         raise NonConvergenceError(f"quadrature failed on [{a}, {b}]: {message}")
     return val, err
@@ -390,7 +395,7 @@ def integrate_1d(
     """Adaptive integral of f over [a, b] to rel_tol_quadrature."""
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    return _quad(f, a, b, tol, points)[0]
+    return _quad(f, a, b, tol.rel_tol_quadrature, points)[0]
 
 
 def integrate_cylindrical(
@@ -419,27 +424,21 @@ def integrate_cylindrical(
     """
     if r_max <= 0.0 or z_max <= 0.0:
         raise DomainError("r_max and z_max must be positive")
-    inner_tol = NumericTolerances(tol.rel_tol_quadrature / 4.0)
 
     def column(r: float) -> float:
         pts = z_breakpoints(r) if z_breakpoints is not None else None
-        val, _ = _quad(lambda z: f(r, z), 0.0, z_max, inner_tol, pts)
+        val, _ = _quad(lambda z: f(r, z), 0.0, z_max, tol.rel_tol_quadrature / 4.0, pts)
         return 4.0 * math.pi * r * val
 
-    return _quad(column, 0.0, r_max, tol, r_breakpoints)[0]
+    return _quad(column, 0.0, r_max, tol.rel_tol_quadrature, r_breakpoints)[0]
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: NumericTolerances = DEFAULT_TOL,
-) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a monotone f on a bracketing interval [lo, hi].
 
     Brent's method (Brent 1973) step for step as scipy's brentq takes it:
     inverse quadratic or secant steps while they shrink the bracket fast
-    enough, bisection otherwise, to a relative tolerance rel_tol_root.
+    enough, bisection otherwise, to NumericTolerances.rel_tol_root.
     """
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
@@ -454,14 +453,14 @@ def find_root(
         )
     x_pre, x_cur, f_pre, f_cur = lo, hi, flo, fhi
     x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(tol.max_iterations):
+    for _ in range(NumericTolerances.max_iterations):
         if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
             x_blk, f_blk = x_pre, f_pre
             s_pre = s_cur = x_cur - x_pre
         if abs(f_blk) < abs(f_cur):
             x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * (1e-300 + tol.rel_tol_root * abs(x_cur))
+        delta = 0.5 * (1e-300 + NumericTolerances.rel_tol_root * abs(x_cur))
         s_bis = 0.5 * (x_blk - x_cur)
         if f_cur == 0.0 or abs(s_bis) < delta:
             return x_cur
@@ -483,5 +482,5 @@ def find_root(
         x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
         f_cur = f(x_cur)
     raise NonConvergenceError(
-        f"no root found on [{lo}, {hi}] in {tol.max_iterations} iterations"
+        f"no root found on [{lo}, {hi}] in {NumericTolerances.max_iterations} iterations"
     )

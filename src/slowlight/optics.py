@@ -296,9 +296,16 @@ def effective_group_velocity(
 
     The speed is L over the total transit time t_d + L/c; deep in the
     slow-light regime this is L/t_d to parts in 10^6, and it degrades
-    gracefully to c for an empty medium.
+    gracefully to c for an empty medium.  A pinhole as wide as the cloud's
+    cut-off radius r_cut raises PinholeError; r_cut depends on T and the
+    statistics, so the config reader cannot refuse it.
     """
     prof = make_profile(spec, trap, T, tol)
+    if probe.pinhole_R >= prof.r_cut:
+        raise PinholeError(
+            f"probe.pinhole_radius: R = {probe.pinhole_R:.6g} m is not inside the cloud, "
+            f"whose cut-off radius is r_cut = {prof.r_cut:.6g} m"
+        )
     L = effective_length(spec, trap, T, tol)
     t_d = _delay_of_profile(prof, probe, tol)
     if t_d < 0.0 or L <= 0.0:

@@ -112,6 +112,7 @@ class TestParseConfig:
         ("sweep.scale", "cubic"),
         ("sweep.statistics", "fermi, fermi"),
         ("gas.statistics", "quark"),
+        ("probe.detuning_gamma", "0"),
     ])
     def test_bad_value_names_key_and_line(self, key, value):
         lines = [line for line in TINY_SWEEP.splitlines() if not line.startswith(key + " ")]
@@ -429,6 +430,28 @@ class TestCommandLine:
         assert main(["run", str(cfg_path), "--out", str(a)]) == 0
         assert main(["run", str(off_path), "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_detuning_sweep_charts_transmission(self, tmp_path):
+        cfg = tmp_path / "detuning.config"
+        text = TINY_SWEEP.replace("sweep.axis            = temperature",
+                                  "sweep.axis            = detuning")
+        text = text.replace("= 0.8", "= 10").replace("= 1.2", "= 20")
+        cfg.write_text(text + "sweep.temperature = 1.0\n", encoding="utf-8")
+        out_svg = tmp_path / "detuning.svg"
+        assert main(["run", str(cfg), "--out", str(tmp_path / "detuning.csv"),
+                     "--chart", str(out_svg)]) == 0
+        svg = out_svg.read_text(encoding="utf-8")
+        assert ">detuning / gamma</text>" in svg and ">transmission</text>" in svg
+
+    def test_pinhole_wider_than_cloud_exits_nonzero_naming_key(self, tmp_path, capsys):
+        # the Boltzmann cloud's cut-off radius at 0.8 T_c is about 0.1 mm
+        bad = tmp_path / "pinhole.config"
+        bad.write_text(TINY_SWEEP.replace("= 5 um", "= 1 mm"), encoding="utf-8")
+        out_csv = tmp_path / "never.csv"
+        assert main(["run", str(bad), "--out", str(out_csv)]) == 1
+        assert not out_csv.exists()
+        err = capsys.readouterr().err
+        assert "probe.pinhole_radius" in err and "r_cut" in err
 
     def test_local_field_pole_exits_nonzero_naming_x_peak(self, tmp_path, capsys):
         bad = tmp_path / "pole.config"

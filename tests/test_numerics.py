@@ -136,6 +136,14 @@ class TestFermiDirac:
         exact = float(complex(-mp.polylog(n, -mp.exp(mp.mpf(x)))).real)
         assert fermi_dirac_f(float(n), x) == pytest.approx(exact, rel=1e-12)
 
+    def test_order_one_closed_form(self):
+        # f_1(e^x) = ln(1 + e^x), written for x > 0 so that e^x cannot overflow
+        for x in (-0.5, 0.0, 3.0):
+            assert fermi_dirac_f(1.0, x) == pytest.approx(
+                math.log1p(math.exp(x)), rel=1e-15, abs=0.0)
+        value = fermi_dirac_f(1.0, 800.0)
+        assert math.isfinite(value) and value == 800.0 + math.log1p(math.exp(-800.0))
+
     @pytest.mark.parametrize("nu,x", [(0.0, 1.0), (-1.0, 1.0), (0.0, -0.2)])
     def test_integer_order_below_one_is_a_domain_error(self, nu, x):
         with pytest.raises(DomainError, match=f"order must be >= 1, got {round(nu)}"):

@@ -511,6 +511,13 @@ class TestEffectiveGroupVelocity:
         res = effective_group_velocity(spec, trap, na_probe(), T)
         assert all(math.isfinite(v) for v in (res.L, res.t_d, res.v_g_eff, res.transmission))
 
+    def test_pinhole_as_wide_as_the_cloud_refused(self, na_cloud):
+        spec, trap, s = na_cloud
+        T = 0.5 * s.T_c
+        r_cut = make_profile(spec, trap, T).r_cut
+        with pytest.raises(PinholeError, match=r"probe\.pinhole_radius: .* r_cut"):
+            effective_group_velocity(spec, trap, na_probe(pinhole=r_cut), T)
+
     def test_velocity_ordering_below_tc(self, na_cloud):
         spec, trap, s = na_cloud
         T = 0.5 * s.T_c
