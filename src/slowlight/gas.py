@@ -235,12 +235,20 @@ class DensityProfile:
     quadrature loops pay only for the local special-function call.
     tf_radius is R_c, where the density kinks; 0 when there is no
     Thomas-Fermi term.
+
+    The profile also keeps the shell densities it has evaluated
+    (at_radius): the shell quadratures of optics sample it at nodes fixed by
+    the pinhole, the window and the panel tree, which repeat at every
+    detuning, so the memo stops growing at that node set and lives as long
+    as the profile's make_profile cache entry.  It stays safe to share
+    between threads: two that race on a radius store the same float.
     """
 
     def __init__(self, spec: GasSpec, trap: TrapGeometry, T: float) -> None:
         self.spec = spec
         self.trap = trap
         self.T = T
+        self._shells = {}  # scaled radius s -> at(s, 0.0), see at_radius
         self.scales = char_scales(spec, trap)
         s = self.scales
         stats = spec.statistics
@@ -313,6 +321,13 @@ class DensityProfile:
             rho += self._tf_amp * (R_c2 - s2) ** self._tf_power
         return rho
 
+    def at_radius(self, s: float) -> float:
+        """Number density at the scaled radius s, at(s, 0.0), memoised."""
+        rho = self._shells.get(s)
+        if rho is None:
+            rho = self._shells[s] = self.at(s, 0.0)
+        return rho
+
     # Closed-form moments.  With v = a s^2, a = beta M omega_r^2 / 2 and the
     # scaled coordinates s = (x, y, eps z), dV = d^3s / eps, the ladder identity
     #     int d^3s f_nu(zeta e^{-a s^2}) = (pi/a)^(3/2) f_{nu+3/2}(zeta)
@@ -356,7 +371,7 @@ class DensityProfile:
         return column
 
     def peak(self) -> float:
-        return self.at(0.0, 0.0)
+        return self.at_radius(0.0)
 
     def z_breakpoints(self, r: float):
         """Axial kink positions of the integrand at radius r (condensate edge)."""

@@ -205,14 +205,18 @@ def _pinhole_integral(
     whole integral: the far shells, where F(rho) is tiny and may round to a
     staircase, need not meet it on their own.  The window edge W and the
     condensate edge tf_radius are breakpoints of whichever piece they fall in.
+    rho(s) comes from the profile's memo (at_radius), so the nodes that
+    repeat at every point of a detuning sweep are evaluated once.
     """
+
+    rho = prof.at_radius
 
     def shell(u: float) -> float:
         if u <= R:
-            return min(u * u, W * u) * F(prof.at(u, 0.0))
+            return min(u * u, W * u) * F(rho(u))
         t = u - R
         s = math.sqrt(R * R + t * t)
-        return t * (min(s, W) - t) * F(prof.at(s, 0.0))
+        return t * (min(s, W) - t) * F(rho(s))
 
     edges = (W, prof.tf_radius)
     points = [R, *(e for e in edges if e < R),
@@ -253,12 +257,28 @@ def _delay_of_profile(
     return _pinhole_integral(excess, prof, R, W, tol) / (math.pi * R * R)
 
 
+def _checked_profile(
+    spec: GasSpec, trap: TrapGeometry, probe: ProbeParams, T: float, tol: NumericTolerances
+):
+    """The cached profile, or PinholeError when the pinhole is as wide as its
+    cut-off radius r_cut; r_cut depends on T and the statistics, so the
+    config reader cannot refuse it."""
+    prof = make_profile(spec, trap, T, tol)
+    if probe.pinhole_R >= prof.r_cut:
+        raise PinholeError(
+            f"probe.pinhole_radius: R = {probe.pinhole_R:.6g} m is not inside the cloud, "
+            f"whose cut-off radius is r_cut = {prof.r_cut:.6g} m"
+        )
+    return prof
+
+
 def delay_time(
     spec: GasSpec, trap: TrapGeometry, probe: ProbeParams, T: float,
     tol: NumericTolerances = DEFAULT_TOL,
 ) -> float:
-    """Averaged pulse delay over the pinhole column, vacuum transit removed."""
-    return _delay_of_profile(make_profile(spec, trap, T, tol), probe, tol)
+    """Averaged pulse delay over the pinhole column, vacuum transit removed.
+    A pinhole as wide as the cloud raises PinholeError."""
+    return _delay_of_profile(_checked_profile(spec, trap, probe, T, tol), probe, tol)
 
 
 def _transmission_of_profile(
@@ -281,8 +301,9 @@ def transmission(
     L: float | None = None,
 ) -> float:
     """Transmission exp(alpha_T) with the absorbance averaged over the
-    pinhole and the central +-L/2 axial window."""
-    prof = make_profile(spec, trap, T, tol)
+    pinhole and the central +-L/2 axial window.  A pinhole as wide as the
+    cloud raises PinholeError."""
+    prof = _checked_profile(spec, trap, probe, T, tol)
     if L is None:
         L = effective_length(spec, trap, T, tol)
     return _transmission_of_profile(prof, probe, L, tol)
@@ -296,16 +317,10 @@ def effective_group_velocity(
 
     The speed is L over the total transit time t_d + L/c; deep in the
     slow-light regime this is L/t_d to parts in 10^6, and it degrades
-    gracefully to c for an empty medium.  A pinhole as wide as the cloud's
-    cut-off radius r_cut raises PinholeError; r_cut depends on T and the
-    statistics, so the config reader cannot refuse it.
+    gracefully to c for an empty medium.  A pinhole as wide as the cloud
+    raises PinholeError.
     """
-    prof = make_profile(spec, trap, T, tol)
-    if probe.pinhole_R >= prof.r_cut:
-        raise PinholeError(
-            f"probe.pinhole_radius: R = {probe.pinhole_R:.6g} m is not inside the cloud, "
-            f"whose cut-off radius is r_cut = {prof.r_cut:.6g} m"
-        )
+    prof = _checked_profile(spec, trap, probe, T, tol)
     L = effective_length(spec, trap, T, tol)
     t_d = _delay_of_profile(prof, probe, tol)
     if t_d < 0.0 or L <= 0.0:

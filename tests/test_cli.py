@@ -28,7 +28,7 @@ from slowlight.cli import (
     run_sweep,
     write_csv,
 )
-from slowlight.gas import GasSpec, Statistics, TrapGeometry
+from slowlight.gas import DensityProfile, GasSpec, Statistics, TrapGeometry, make_profile
 from slowlight.numerics import NumericTolerances
 from slowlight.optics import ProbeParams, ZeroDetuningError
 
@@ -244,6 +244,49 @@ class TestRunSweep:
         assert row.x == 2.0
         with pytest.raises(ZeroDetuningError):
             cli._sweep_point(cfg, Statistics.BOLTZMANN, 0.0)
+
+    @staticmethod
+    def fig2_physics(points):
+        text = re.sub(r"sweep\.points\s*=\s*\d+", f"sweep.points = {points}", preset_text("fig2"))
+        return parse_config(text)
+
+    def test_detuning_rows_do_not_depend_on_the_shell_memo(self, tmp_path):
+        # every point of a detuning sweep shares one profile and its shell
+        # densities; each row equals the row computed alone on a new profile
+        cfg = self.fig2_physics(5)
+        make_profile.cache_clear()
+        swept = run_sweep(cfg)
+        alone = []
+        for row in swept:
+            make_profile.cache_clear()
+            alone.append(cli._sweep_point(cfg, Statistics(row.statistics), row.x))
+        write_csv(swept, tmp_path / "swept.csv")
+        write_csv(alone, tmp_path / "alone.csv")
+        lines = (tmp_path / "swept.csv").read_text().splitlines()
+        assert len(lines) == 16
+        assert lines == (tmp_path / "alone.csv").read_text().splitlines()
+
+    def test_detuning_sweep_evaluates_each_shell_once(self, monkeypatch):
+        # past the first detuning, the shell quadratures find their nodes in
+        # the profile's memo, so 14 more points add under 10 % of the calls
+        calls = 0
+        at = DensityProfile.at
+
+        def counted(prof, r, z):
+            nonlocal calls
+            calls += 1
+            return at(prof, r, z)
+
+        monkeypatch.setattr(DensityProfile, "at", counted)
+        counts = {}
+        for points in (2, 16):
+            make_profile.cache_clear()
+            calls = 0
+            run_sweep(self.fig2_physics(points))
+            counts[points] = calls
+        make_profile.cache_clear()
+        assert counts[2] > 0
+        assert counts[16] <= 1.1 * counts[2]
 
 
 class TestCsv:

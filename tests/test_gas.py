@@ -81,7 +81,7 @@ class TestCharScales:
         direct = 0.5 * ZETA_3 ** (1.0 / 3.0) * (
             15.0 * spec.n_atoms ** (1.0 / 6.0) * spec.a_sc / s.a_ho
         ) ** 0.4
-        assert s.eta == pytest.approx(direct, rel=1e-12)
+        assert s.eta == pytest.approx(direct, rel=1e-12, abs=0.0)
         assert s.eta == pytest.approx(0.2617, rel=2e-3)
         assert s.mu_TF == pytest.approx(s.eta * k_B * s.T_c, rel=1e-12, abs=0.0)
 
@@ -168,7 +168,7 @@ class TestBoseThermodynamics:
         t = 0.5
         expected = 1.0 - t**3 - s.eta * (ZETA_2 / ZETA_3) * t**2 * (1.0 - t**3) ** 0.4
         got = condensate_fraction(0.5 * s.T_c, s)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert got == pytest.approx(0.7901, abs=2e-4)
 
     def test_fraction_floored_near_transition(self, na_cloud):
@@ -196,7 +196,7 @@ class TestDensityProfiles:
         spec, trap, s = na_cloud
         peak = density(spec, trap, 0.0, 0.0, 0.0)
         expected = 15.0 * spec.n_atoms * (1.0 / 3.0) / (8.0 * math.pi * s.R_B**3)
-        assert peak == pytest.approx(expected, rel=1e-12)
+        assert peak == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert peak == pytest.approx(1.35e20, rel=5e-3)
 
     def test_zero_T_outside_support(self, na_cloud):
@@ -344,6 +344,24 @@ class TestDensityProfiles:
     def test_profile_cache_reuse(self, na_cloud):
         spec, trap, s = na_cloud
         assert make_profile(spec, trap, 0.5 * s.T_c) is make_profile(spec, trap, 0.5 * s.T_c)
+
+    @pytest.mark.parametrize("stat,reduced", [
+        (Statistics.FERMI, 0.0), (Statistics.FERMI, 0.5), (Statistics.FERMI, 1.5),
+        (Statistics.BOSE, 0.0), (Statistics.BOSE, 0.5), (Statistics.BOSE, 1.5),
+        (Statistics.BOLTZMANN, 0.5), (Statistics.BOLTZMANN, 1.5),
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.floats(0.0, 1.2))
+    def test_shell_memo_is_the_density_on_the_axis(self, na_cloud, stat, reduced, u):
+        # at_radius(s) returns the float that at(s, 0.0) returns, on the
+        # first call and from the memo on the second
+        spec, trap, s = na_cloud
+        prof = DensityProfile(GasSpec(stat, spec.n_atoms, spec.mass, spec.a_sc), trap,
+                              reduced * s.T_c)
+        radius = u * prof.r_cut
+        first = prof.at_radius(radius)
+        assert first.hex() == prof.at(radius, 0.0).hex()
+        assert prof.at_radius(radius).hex() == first.hex()
 
 
 class TestClosedFormMoments:

@@ -43,7 +43,7 @@ def mp_polylog(s: float, z: float) -> float:
 
 class TestPolylog:
     def test_zeta3_at_unit_argument(self):
-        assert polylog(3.0, 1.0) == pytest.approx(1.2020569031595943, rel=1e-12)
+        assert polylog(3.0, 1.0) == pytest.approx(1.2020569031595943, rel=1e-12, abs=0.0)
 
     def test_zero_argument(self):
         assert polylog(3.0, 0.0) == 0.0
@@ -51,11 +51,11 @@ class TestPolylog:
 
     def test_half_argument_order_three(self):
         oracle = series_polylog(3.0, 0.5, 200)
-        assert polylog(3.0, 0.5) == pytest.approx(oracle, rel=1e-12)
+        assert polylog(3.0, 0.5) == pytest.approx(oracle, rel=1e-12, abs=0.0)
         assert polylog(3.0, 0.5) == pytest.approx(0.5372131936080402, rel=1e-10)
 
     def test_zeta_three_halves_at_unit_argument(self):
-        assert polylog(1.5, 1.0) == pytest.approx(2.6123753486854883, rel=1e-12)
+        assert polylog(1.5, 1.0) == pytest.approx(2.6123753486854883, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("z", [-1.0, -0.9, -0.6, -0.3, 0.05, 0.3, 0.49, 0.51, 0.7, 0.9, 0.99, 1.0])
@@ -74,7 +74,7 @@ class TestPolylog:
             polylog(1.0, 1.0)
 
     def test_order_one_is_a_logarithm(self):
-        assert polylog(1.0, 0.3) == pytest.approx(-math.log(0.7), rel=1e-14)
+        assert polylog(1.0, 0.3) == pytest.approx(-math.log(0.7), rel=1e-14, abs=0.0)
 
     @given(
         z=st.floats(min_value=0.01, max_value=0.99),
@@ -107,7 +107,7 @@ class TestFermiDirac:
         oracle = sum(
             (-1) ** (j + 1) * 0.01**j / j**1.5 for j in range(1, 60)
         )
-        assert fermi_dirac_f(1.5, x) == pytest.approx(oracle, rel=1e-12)
+        assert fermi_dirac_f(1.5, x) == pytest.approx(oracle, rel=1e-12, abs=0.0)
         assert fermi_dirac_f(1.5, x) == pytest.approx(0.00996483586990717, rel=1e-10)
 
     def test_vanishing_fugacity_limit(self):
@@ -134,7 +134,7 @@ class TestFermiDirac:
     @pytest.mark.parametrize("x", [-1.0, 0.3, 4.0, 12.0, 40.0])
     def test_integer_orders(self, n, x):
         exact = float(complex(-mp.polylog(n, -mp.exp(mp.mpf(x)))).real)
-        assert fermi_dirac_f(float(n), x) == pytest.approx(exact, rel=1e-12)
+        assert fermi_dirac_f(float(n), x) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_order_one_closed_form(self):
         # f_1(e^x) = ln(1 + e^x), written for x > 0 so that e^x cannot overflow
@@ -285,7 +285,7 @@ class TestFindRoot:
         target = 1.0 / (6.0 * reduced**3)
         f = lambda x: fermi_dirac_f(3.0, x) - target
         lo, hi = -10.0 - 3.0 * math.log(6.0 * reduced**3), 10.0 + 1.0 / reduced
-        assert find_root(f, lo, hi) == pytest.approx(brentq(f, lo, hi, **self.BRENTQ), rel=1e-15)
+        assert find_root(f, lo, hi) == pytest.approx(brentq(f, lo, hi, **self.BRENTQ), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("reduced", [1.001, 1.2, 2.0, 5.0])
     def test_bose_fugacity_root_matches_brentq(self, reduced):
@@ -293,11 +293,11 @@ class TestFindRoot:
         target = riemann_zeta(3.0) / reduced**3
         f = lambda z: polylog(3.0, z) - target
         expected = brentq(f, 1e-300, 1.0, **self.BRENTQ)
-        assert find_root(f, 1e-300, 1.0) == pytest.approx(expected, rel=1e-15)
+        assert find_root(f, 1e-300, 1.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_exhausted_iteration_budget_raises(self, monkeypatch):
         f = lambda x: math.cos(x) - x
-        assert find_root(f, 0.0, 1.0) == pytest.approx(0.7390851332151607, rel=1e-12)
+        assert find_root(f, 0.0, 1.0) == pytest.approx(0.7390851332151607, rel=1e-12, abs=0.0)
         monkeypatch.setattr(NumericTolerances, "max_iterations", 3)
         with pytest.raises(NonConvergenceError, match="3 iterations"):
             find_root(f, 0.0, 1.0)
@@ -356,12 +356,12 @@ class TestRiemannZeta:
         if exact == 0.0:
             assert got == 0.0
         else:
-            assert got == pytest.approx(exact, rel=1e-14)
-            assert got == pytest.approx(float(scipy_zeta(s)), rel=1e-14)
+            assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert got == pytest.approx(float(scipy_zeta(s)), rel=1e-14, abs=0.0)
 
     def test_exact_values(self):
         assert riemann_zeta(0.0) == -0.5
-        assert riemann_zeta(-1.0) == pytest.approx(-1.0 / 12.0, rel=1e-15)
+        assert riemann_zeta(-1.0) == pytest.approx(-1.0 / 12.0, rel=1e-15, abs=0.0)
         for n in range(1, 13):
             assert riemann_zeta(-2.0 * n) == 0.0
 

@@ -1,12 +1,14 @@
 """Susceptibility, group velocity, delay, transmission, and zero-T forms."""
 
 import math
+import sys
+import threading
 import warnings
 
 import mpmath as mp
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
-from scipy.constants import c as c_light
+from scipy.constants import c as c_light, h, hbar, k as k_B
 
 from slowlight.gas import (
     GasSpec, Statistics, TrapGeometry, char_scales, make_profile, mu_bose,
@@ -70,6 +72,9 @@ class UniformBall:
         inside = r * r + (self.trap.epsilon * z) ** 2 <= self.tf_radius**2
         return self.rho if inside else 0.0
 
+    def at_radius(self, s):
+        return self.at(s, 0.0)
+
     def peak(self):
         return self.rho
 
@@ -124,7 +129,7 @@ class TestCharVolume:
         # (4 pi/3) alpha / V_alpha = 1/(4 pi) with the two-level dipole moment
         probe = na_probe()
         ratio = (4.0 * math.pi / 3.0) * polarizability(probe) / char_volume(probe)
-        assert ratio == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
+        assert ratio == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12, abs=0.0)
 
 
 class TestSusceptibility:
@@ -158,7 +163,7 @@ class TestSusceptibility:
 
 class TestGroupVelocityLocal:
     def test_vacuum_is_c(self):
-        assert group_velocity_local(0.0, na_probe()) == pytest.approx(c_light, rel=1e-15)
+        assert group_velocity_local(0.0, na_probe()) == pytest.approx(c_light, rel=1e-15, abs=0.0)
 
     def test_monotone_decreasing_in_density(self):
         probe = na_probe()
@@ -175,7 +180,7 @@ class TestGroupVelocityLocal:
             1.0 + 2.0 * math.pi * OMEGA_0 * polarizability(probe) * rho
             / (probe.delta * (1.0 - x) ** 2)
         )
-        assert group_velocity_local(rho, probe) == pytest.approx(expected, rel=1e-14)
+        assert group_velocity_local(rho, probe) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_dispersion_route_agrees_with_closed_form(self):
         probe = na_probe()
@@ -200,8 +205,6 @@ class TestEffectiveLength:
     def test_boltzmann_gaussian_moment(self, na_cloud):
         spec, trap, s = na_cloud
         cspec = GasSpec(Statistics.BOLTZMANN, spec.n_atoms, spec.mass)
-        from scipy.constants import k as k_B
-
         T = 0.8 * s.T_c
         expected = math.sqrt(k_B * T / (spec.mass * trap.epsilon**2 * trap.omega_r**2))
         assert effective_length(cspec, trap, T) == pytest.approx(expected, rel=1e-6)
@@ -432,17 +435,50 @@ class TestShellIntegral:
         assert column == pytest.approx(prof.pinhole_column(pinhole), rel=1e-10)
 
 
-class TestZeroTemperatureMpmathOracle:
-    """The local-field t_d and ln(transmission) of T = 0 clouds against mpmath.
+def mp_pinhole_mean(F, rho, eps, R, W, s_end, breaks=()):
+    """The pinhole mean (1 / pi R^2) int F(rho) dV over r < R, |eps z| < W,
+    from the sphere caps that each shell |s| = s of the scaled coordinates
+    keeps inside that region,
 
-    The pinhole mean integrates over the sphere caps that each shell
-    |s| = s of the scaled coordinates keeps inside r < R, |eps z| < W,
-
-        (4 pi / eps) int_0^R_c s max(0, min(s, W) - sqrt(max(s^2 - R^2, 0))) F(rho(s)) ds,
+        (4 pi / eps) int_0^s_end s max(0, min(s, W) - sqrt(max(s^2 - R^2, 0))) F(rho(s)) ds,
 
     a geometry independent of the substitution s = sqrt(R^2 + t^2) that
-    _pinhole_integral makes.  The density, alpha and L are written out from
-    the zero-temperature closed forms, not taken from the program."""
+    _pinhole_integral makes.  mpmath.quad stops at an absolute error of
+    eps / 8, so it runs in y = s / R with F scaled by its value on the axis,
+    where the integrand is of order one and not of order 1e-15 as in SI."""
+    F0 = F(rho(mp.mpf(0)))
+
+    def shell(y):
+        cap = min(y, W / R) - mp.sqrt(max(y * y - 1, 0))
+        return y * max(cap, 0) * F(rho(R * y)) / F0
+
+    # the cap's kinks: s = W, s = R and s = sqrt(R^2 + W^2), where it closes
+    kinks = (W, R, mp.sqrt(R * R + W * W), *breaks)
+    edges = sorted({0, s_end, *(e for e in kinks if e < s_end)})
+    return 4 * R * F0 / eps * mp.quad(shell, [e / R for e in edges])
+
+
+def mp_observables(rho, eps, L, delta_gamma, pinhole, s_end, breaks=()):
+    """(t_d, ln transmission) in mpmath for the density rho(s): the excess
+    slowness K rho / (1 - b rho)^2 averaged over the whole column, and the
+    absorbance over the central +-L/2 window."""
+    R, c = mp.mpf(pinhole), mp.mpf(c_light)
+    omega_0, gamma = mp.mpf(OMEGA_0), mp.mpf(GAMMA)
+    delta = delta_gamma * gamma
+    alpha = 3 * gamma / (4 * (omega_0 / c) ** 3 * delta)
+    b = 4 * mp.pi / 3 * alpha
+    K = 2 * mp.pi * omega_0 * alpha / (delta * c)
+    g = gamma / (2 * delta)
+    t_d = mp_pinhole_mean(lambda n: K * n / (1 - b * n) ** 2, rho, eps, R, mp.inf, s_end, breaks)
+    ln_T = -2 * omega_0 / c * mp_pinhole_mean(
+        lambda n: alpha * n * g / ((1 - b * n) ** 2 + g * g), rho, eps, R, eps * L / 2, s_end, breaks)
+    return t_d, ln_T
+
+
+class TestZeroTemperatureMpmathOracle:
+    """The local-field t_d and ln(transmission) of T = 0 clouds against mpmath
+    (mp_pinhole_mean).  The density, alpha and L are written out from the
+    zero-temperature closed forms, not taken from the program."""
 
     @pytest.mark.parametrize("stat,n_atoms,delta_gamma,pinhole", [
         (Statistics.BOSE, 3.8e6, 10.0, 7.5e-6),
@@ -457,10 +493,7 @@ class TestZeroTemperatureMpmathOracle:
         got = effective_group_velocity(gspec, trap, na_probe(delta_gamma, pinhole), 0.0)
 
         with mp.workdps(20):
-            eps, R, c = mp.mpf(trap.epsilon), mp.mpf(pinhole), mp.mpf(c_light)
-            omega_0, gamma = mp.mpf(OMEGA_0), mp.mpf(GAMMA)
-            delta = delta_gamma * gamma
-            alpha = 3 * gamma / (4 * (omega_0 / c) ** 3 * delta)
+            eps = mp.mpf(trap.epsilon)
             if stat is Statistics.BOSE:
                 R_c, power = mp.mpf(s.R_B), 1
                 amp = 15 * n_atoms * eps / (8 * mp.pi * R_c**5)
@@ -469,23 +502,93 @@ class TestZeroTemperatureMpmathOracle:
                 R_c, power = mp.mpf(s.R_F), mp.mpf(1.5)
                 amp = 8 * n_atoms * eps / (mp.pi**2 * R_c**6)
                 L = R_c / (mp.sqrt(8) * eps)
+            # s = R y rounds past R_c at the last node
+            t_d, ln_T = mp_observables(lambda x: amp * max(R_c**2 - x * x, 0) ** power,
+                                       eps, L, delta_gamma, pinhole, R_c)
+        assert got.t_d == pytest.approx(float(t_d), rel=1e-9, abs=0.0)
+        assert math.log(got.transmission) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0)
 
-            def pinhole_mean(F, W):
-                def shell(x):
-                    cap = min(x, W) - mp.sqrt(max(x * x - R * R, 0))
-                    return x * max(cap, 0) * F(amp * (R_c**2 - x * x) ** power)
 
-                # the cap's kinks: s = W, s = R and s = sqrt(R^2 + W^2), where it closes
-                kinks = (W, R, mp.sqrt(R * R + W * W))
-                edges = sorted({0, R_c, *(e for e in kinks if e < R_c)})
-                return 4 * mp.pi / eps * mp.quad(shell, edges) / (mp.pi * R * R)
+class TestThermalMpmathOracle:
+    """The local-field t_d and ln(transmission) of T > 0 clouds against mpmath,
+    one temperature below and one above T_c per statistics.
 
-            b = 4 * mp.pi / 3 * alpha
-            K = 2 * mp.pi * omega_0 * alpha / (delta * c)
-            g = gamma / (2 * delta)
-            t_d = pinhole_mean(lambda rho: K * rho / (1 - b * rho) ** 2, R_c)
-            ln_T = -2 * omega_0 / c * pinhole_mean(
-                lambda rho: alpha * rho * g / ((1 - b * rho) ** 2 + g * g), eps * L / 2)
+    The density is the thermal ladder rho = f(a s^2) / lambda_T^3 of the
+    scaled radius s, a = M omega_r^2 / 2 k_B T, plus the Thomas-Fermi
+    condensate (mu - V)/U for Bose below T_c.  The scales, the chemical
+    potential or fugacity (solved from the normalization with mp.findroot)
+    and L = [(1/N) int z^2 rho dV]^(1/2) are computed here, not taken from
+    the program.  f is the fugacity times e^-v for Boltzmann and otherwise
+    mpmath.polylog of order 3/2, except in the core of the Fermi cloud,
+    where -Li_{3/2}(-e^x) with x > -ln 2 costs mpmath.polylog about 40 ms a
+    call and is summed as sum_k eta(3/2 - k) x^k / k! (radius pi).  The t_d window is unbounded: the program cuts at r_cut,
+    where the density is below e^-32 of its peak, and the oracle at
+    e^-60."""
+
+    @pytest.mark.parametrize("stat,n_atoms,reduced,delta_gamma,pinhole", [
+        (Statistics.BOSE, 3.8e8, 0.5, 3.0, 7.5e-6),       # x_peak = 0.65
+        (Statistics.BOSE, 3.8e6, 1.5, 10.0, 7.5e-6),
+        (Statistics.FERMI, 1e9, 0.8, 3.0, 30e-6),
+        (Statistics.FERMI, 3.8e6, 1.5, 10.0, 7.5e-6),
+        (Statistics.BOLTZMANN, 1e10, 0.5, 3.0, 7.5e-6),   # x_peak = 0.61
+        (Statistics.BOLTZMANN, 3.8e6, 1.5, 10.0, 7.5e-6),
+    ])
+    def test_delay_and_transmission(self, na_cloud, stat, n_atoms, reduced, delta_gamma, pinhole):
+        spec, trap, _ = na_cloud
+        gspec = GasSpec(stat, n_atoms, spec.mass, spec.a_sc)
+        T = reduced * char_scales(gspec, trap).T_c
+        got = effective_group_velocity(gspec, trap, na_probe(delta_gamma, pinhole), T)
+
+        with mp.workdps(20):
+            N, M, t = mp.mpf(n_atoms), mp.mpf(spec.mass), mp.mpf(reduced)
+            eps, omega_r, kT = mp.mpf(trap.epsilon), mp.mpf(trap.omega_r), k_B * mp.mpf(T)
+            wbar = eps ** (mp.mpf(1) / 3) * omega_r
+            a = M * omega_r**2 / (2 * kT)
+            lam3 = (h / mp.sqrt(2 * mp.pi * M * kT)) ** 3
+            # N = int rho dV = (k_B T / hbar wbar)^3 f_3(zeta) for every ladder
+            target = N * (hbar * wbar / kT) ** 3
+            x_top, R_c, amp, kappa = mp.mpf(0), mp.mpf(0), 0, 1
+            if stat is Statistics.FERMI:
+                x_top = mp.findroot(lambda x: -mp.polylog(3, -mp.exp(x)) - target, 1)
+                assert x_top < 2  # the eta series below converges as (x / pi)^k
+                eta_terms = [mp.altzeta(mp.mpf(1.5) - k) / mp.factorial(k) for k in range(120)]
+
+                def ladder(v):
+                    x = x_top - v
+                    if x <= -mp.ln2:
+                        return -mp.polylog(1.5, -mp.exp(x))
+                    return mp.fsum(c * x**k for k, c in enumerate(eta_terms))
+            elif stat is Statistics.BOLTZMANN:
+                def ladder(v):
+                    return target * mp.exp(-v)
+            else:
+                fugacity = 1
+                if reduced > 1:
+                    fugacity = mp.findroot(lambda u: mp.polylog(3, u) - target, 0.3)
+                else:
+                    # the interacting condensate fraction and mu = mu_TF (N_0/N)^(2/5)
+                    a_ho = mp.sqrt(hbar / (M * wbar))
+                    eta = mp.cbrt(mp.zeta(3)) / 2 * (15 * mp.root(N, 6) * spec.a_sc / a_ho) ** 0.4
+                    frac = 1 - t**3 - eta * mp.zeta(2) / mp.zeta(3) * t**2 * (1 - t**3) ** 0.4
+                    mu = eta * kT / t * frac**0.4
+                    kappa = (1 - frac) / t**3
+                    R_c = mp.sqrt(2 * mu / (M * omega_r**2))
+                    amp = M**2 * omega_r**2 / (8 * mp.pi * hbar**2 * spec.a_sc)
+
+                def ladder(v):
+                    return kappa * mp.re(mp.polylog(1.5, fugacity * mp.exp(-v)))
+
+            def rho(s):
+                n = ladder(a * s * s) / lam3
+                return n + amp * (R_c**2 - s * s) if s < R_c else n
+
+            # the thermal density is below e^-60 of its peak beyond s_end
+            s_end = mp.sqrt((60 + max(x_top, 0)) / a)
+            rho_0 = rho(mp.mpf(0))
+            L = mp.sqrt(4 * mp.pi * s_end**5 * rho_0 / (3 * eps**3 * N) * mp.quad(
+                lambda y: y**4 * rho(s_end * y) / rho_0, [0, R_c / s_end, 1]))
+            t_d, ln_T = mp_observables(rho, eps, L, delta_gamma, pinhole, s_end, (R_c,))
+        assert got.L == pytest.approx(float(L), rel=1e-9, abs=0.0)
         assert got.t_d == pytest.approx(float(t_d), rel=1e-9, abs=0.0)
         assert math.log(got.transmission) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0)
 
@@ -518,6 +621,21 @@ class TestEffectiveGroupVelocity:
         with pytest.raises(PinholeError, match=r"probe\.pinhole_radius: .* r_cut"):
             effective_group_velocity(spec, trap, na_probe(pinhole=r_cut), T)
 
+    @pytest.mark.parametrize("observable", [delay_time, transmission, effective_group_velocity])
+    @pytest.mark.parametrize("pinhole", ["r_cut", 1e-3])
+    def test_every_observable_refuses_a_pinhole_wider_than_the_cloud(
+        self, na_cloud, observable, pinhole
+    ):
+        # the fig1 Fermi cloud at 0.1 T_c, whose cut-off radius is 0.40 mm
+        spec, trap, s = na_cloud
+        fspec = GasSpec(Statistics.FERMI, spec.n_atoms, spec.mass)
+        T = 0.1 * s.T_c
+        r_cut = make_profile(fspec, trap, T).r_cut
+        assert r_cut == pytest.approx(0.40e-3, rel=0.01)
+        R = r_cut if pinhole == "r_cut" else pinhole
+        with pytest.raises(PinholeError, match=r"probe\.pinhole_radius: .* r_cut"):
+            observable(fspec, trap, na_probe(pinhole=R), T)
+
     def test_velocity_ordering_below_tc(self, na_cloud):
         spec, trap, s = na_cloud
         T = 0.5 * s.T_c
@@ -537,6 +655,37 @@ class TestEffectiveGroupVelocity:
             changes.append((voff - von) / voff)
         # larger peak density (lower T) gives the larger shift
         assert changes[0] > changes[1] > 0.0
+
+
+class TestSharedProfile:
+    def test_threads_sharing_a_profile_get_the_serial_rows(self, na_cloud):
+        # the shell memo is a plain dict: threads that miss on one radius at
+        # once each store the same float, so no row depends on the interleaving
+        spec, trap, s = na_cloud
+        T = 0.5 * s.T_c
+        probes = [na_probe(delta_gamma=d) for d in (3.0, 5.0, 8.0, 13.0, 20.0)]
+        make_profile.cache_clear()
+        serial = [effective_group_velocity(spec, trap, p, T) for p in probes]
+        make_profile.cache_clear()
+        rows = {}
+
+        def sweep(k):
+            order = probes[k:] + probes[:k]
+            rows[k] = [effective_group_velocity(spec, trap, p, T) for p in order]
+
+        workers = [threading.Thread(target=sweep, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for k in range(4):
+            assert rows[k] == serial[k:] + serial[:k]
 
 
 class TestZeroTemperatureClosedForms:
