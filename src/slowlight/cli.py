@@ -17,7 +17,6 @@ byte-identical CSV on every run.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
@@ -560,38 +559,80 @@ def _format_scales(config: RunConfig) -> str:
     return "\n".join(f"{name:<{width}}  {value}" for name, value in pairs)
 
 
+USAGE = """\
+usage: slowlight run CONFIG [--out PATH] [--chart PATH]
+       slowlight scales CONFIG
+       slowlight -h | --help"""
+
+_HELP = """
+Slow-light observables for trapped quantum gases.
+
+  run CONFIG     print the scales, run the sweep of a section.key = value
+                 config file and write its CSV
+    --out PATH   CSV output path (default: CONFIG's stem + _sweep.csv)
+    --chart PATH also write an SVG chart there
+  scales CONFIG  print the characteristic scales of a config"""
+
+_OPTIONS = {"run": ("--out", "--chart"), "scales": ()}
+
+
+def _parse_command_line(argv: Sequence[str]) -> tuple[str, str, dict[str, str]]:
+    """(command, CONFIG, {option: PATH}) of a command line in the grammar of
+    USAGE; a PATH follows its option as the next word or after ``=``.
+    Anything else raises ValueError with the reason."""
+    if not argv:
+        raise ValueError("no command given")
+    command, *rest = argv
+    if command not in _OPTIONS:
+        raise ValueError(f"unknown command {command!r}")
+    configs, options = [], {}
+    words = iter(rest)
+    for word in words:
+        if not word.startswith("-"):
+            configs.append(word)
+            continue
+        name, equals, value = word.partition("=")
+        if name not in _OPTIONS[command]:
+            raise ValueError(f"unknown option {name!r} for {command}")
+        if not equals:
+            value = next(words, "")
+            if value.startswith("-"):
+                value = ""
+        if not value:
+            raise ValueError(f"{name} needs a PATH")
+        options[name] = value
+    if len(configs) != 1:
+        raise ValueError(f"{command} takes one CONFIG, got {len(configs)}")
+    return command, configs[0], options
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="slowlight",
-        description="Slow-light observables for trapped quantum gases",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a sweep from a config file")
-    run_p.add_argument("config", help="path to a section.key = value config file")
-    run_p.add_argument("--out", help="CSV output path")
-    run_p.add_argument("--chart", help="SVG chart output path")
-
-    scales_p = sub.add_parser("scales", help="print characteristic scales")
-    scales_p.add_argument("config", help="path to a config file")
-
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"{USAGE}\n{_HELP}")
+        return 0
     try:
-        config = load_config(args.config)
+        command, config_path, options = _parse_command_line(argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nslowlight: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        config = load_config(config_path)
         print(_format_scales(config))
-        if args.command == "scales":
+        if command == "scales":
             return 0
         rows = run_sweep(config)
-        out_csv = args.out or (Path(args.config).stem + "_sweep.csv")
+        out_csv = options.get("--out", Path(config_path).stem + "_sweep.csv")
         write_csv(rows, out_csv)
         print(f"wrote {len(rows)} rows to {out_csv}")
-        if args.chart:
+        chart = options.get("--chart")
+        if chart:
             if config.sweep.axis == "temperature":
                 y_field, x_label = "v_g_mps", f"T / {config.temperature_unit_name}"
             else:
                 y_field, x_label = "transmission", "detuning / gamma"
-            emit_chart(rows, args.chart, y_field=y_field, x_label=x_label)
-            print(f"wrote chart to {args.chart}")
+            emit_chart(rows, chart, y_field=y_field, x_label=x_label)
+            print(f"wrote chart to {chart}")
         return 0
     except (ConfigError, RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

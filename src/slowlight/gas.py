@@ -389,8 +389,10 @@ def _cap_fraction(u2: float, power: float) -> float:
 
 
 # The profile reads no NumericTolerances: the fourth argument is only part of
-# the cache key.  optics passes DEFAULT_TOL there, and so does
-# perfbench/layers.py, which warms this cache before it times effective_length.
+# the cache key.  optics and density pass DEFAULT_TOL there, and so does
+# perfbench/layers.py, which warms this cache before it times effective_length;
+# lru_cache keys on the arguments as passed, so a caller that left it out would
+# build a second profile, with a second shell memo, at the same T.
 @lru_cache(maxsize=64)
 def make_profile(
     spec: GasSpec,
@@ -407,4 +409,4 @@ def density(spec: GasSpec, trap: TrapGeometry, T: float, r: float, z: float) -> 
     Fermi), and a Boltzmann cloud raises UnsupportedStatisticsError."""
     if T < 0.0:
         raise ValueError("density requires T >= 0")
-    return make_profile(spec, trap, T).at(r, z)
+    return make_profile(spec, trap, T, DEFAULT_TOL).at(r, z)

@@ -12,7 +12,10 @@ Evaluation strategy for Li_s:
   * z < -series_cutoff            -f_s(-z), the Fermi-Dirac function below
 and for f_nu(e^x):
   * x <= ln(series_cutoff)        alternating power series
-  * intermediate x                Hurwitz-zeta inversion (exact, all x)
+  * intermediate x                for nu = 3/2, the order of every LDA
+                                  density, a checked-in Chebyshev fit on
+                                  three intervals; else the Hurwitz-zeta
+                                  inversion (exact, all x)
   * x >= 20                       Sommerfeld asymptotic expansion
 The branches overlap to well below the working tolerances; tests pin the
 agreement windows.
@@ -91,7 +94,7 @@ class NumericTolerances(namedtuple("NumericTolerances", "rel_tol_quadrature")):
 
 DEFAULT_TOL = NumericTolerances()
 
-# Sommerfeld expansion takes over from the Hurwitz-zeta route here.
+# Sommerfeld expansion takes over from the mid-range branch here.
 SOMMERFELD_SWITCH = 20.0
 
 _B2K = (  # Bernoulli numbers B_2, B_4, ..., B_24
@@ -194,9 +197,69 @@ def _polylog_near_one(s: float, z: float) -> float:
     return acc
 
 
+# f_{3/2}(e^x) on [ln 1/2, 2], [2, 6] and [6, 20], the window between the
+# series and the Sommerfeld branch: (lo, hi, c) per interval with
+# f = sum_k c[k] T_k(t), t = (2x - lo - hi) / (hi - lo), the Chebyshev
+# interpolant at the 24 Chebyshev nodes of the interval, from mpmath at 30
+# digits (the approach of GSL's fermi_dirac.c, Goano 1995, Fukushima 2015).
+# tests/test_numerics.py rebuilds these coefficients and checks them.
+_FD32_FIT = (
+    (-0.6931471805599453, 2.0, (
+        1.4383016205347552, 1.191860928041034, 0.19020558940967625,
+        0.005042193254285613, -0.001737531198552282, 1.6269150364562425e-05,
+        3.5368814357415883e-05, -2.526355414830369e-06, -7.622918008879186e-07,
+        1.181552130491055e-07, 1.4372354540595996e-08, -4.481712842734078e-09,
+        -1.4457503021790816e-10, 1.511857581349793e-10, -5.610517104674464e-12,
+        -4.5695769655523694e-12, 5.015112231221808e-13, 1.1917327511467845e-13,
+        -2.539656758547365e-14, -2.3234956788041866e-15, 1.0455705694041409e-15,
+        7.530901782873439e-18, -3.738731072773858e-17, 2.561076967839974e-18,
+    )),
+    (2.0, 6.0, (
+        6.822331200416223, 4.326494589081217, 0.31182204394738927,
+        -0.015074124093662279, 0.0010336943219750605, 1.275942021625074e-05,
+        -2.558567750062837e-05, 5.9820837738666e-06, -8.341551387635099e-07,
+        5.032169605549768e-08, 1.0347453275513807e-08, -4.147227751526919e-09,
+        7.88250466005287e-10, -8.457979102266991e-11, -1.6125970697502915e-12,
+        3.102185991939906e-12, -7.969775843976461e-13, 1.1883694228990596e-13,
+        -6.765523675280562e-15, -2.052726130453918e-15, 7.990731405931911e-16,
+        -1.548296914891273e-16, 1.6466040705162375e-17, 4.595543893835384e-19,
+    )),
+    (6.0, 20.0, (
+        37.482243396667684, 28.122477298755534, 1.9748983629615107,
+        -0.09804792079474829, 0.011524856423962775, -0.0018895203154333737,
+        0.0003711478111814602, -7.984200479815646e-05, 1.753805839613533e-05,
+        -3.6992111310900183e-06, 6.984431775769462e-07, -1.0230242019121055e-07,
+        4.481660897240093e-09, 4.442997249010732e-09, -2.435808080561878e-09,
+        8.921565840446428e-10, -2.7599493549533964e-10, 7.692105831588033e-11,
+        -1.9792072653509068e-11, 4.73133377361921e-12, -1.041590836968143e-12,
+        2.0446634614844792e-13, -3.263544357256342e-14, 3.0806362409293324e-15,
+    )),
+)
+# Clenshaw's form of each interval: lo + hi, 1 / (hi - lo), c[N-1], ..., c[1], c[0]
+_FD32_CLENSHAW = tuple((lo + hi, 1.0 / (hi - lo), c[:0:-1], c[0]) for lo, hi, c in _FD32_FIT)
+
+
+def _fd_three_halves(x: float) -> float:
+    # f_{3/2}(e^x) for ln 1/2 <= x <= 20 from _FD32_FIT by Clenshaw's recurrence
+    total, inverse, tail, c0 = _FD32_CLENSHAW[0 if x < 2.0 else 1 if x < 6.0 else 2]
+    t = (x + x - total) * inverse
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in tail:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return c0 + t * b1 - b2
+
+
 def _polylog_negative_axis(s: float, x: float) -> float:
-    # Li_s(-e^x) for non-integer s via the Hurwitz-zeta inversion formula;
-    # exact for every real x, fast for the awkward mid-degeneracy window.
+    # Li_s(-e^x) for non-integer s in the mid-degeneracy window: the fit for
+    # s = 3/2, else the Hurwitz-zeta inversion formula, exact for every real x
+    if s == 1.5 and _FD32_FIT[0][0] <= x <= _FD32_FIT[-1][1]:
+        return -_fd_three_halves(x)
+    return _hurwitz_inversion(s, x)
+
+
+def _hurwitz_inversion(s: float, x: float) -> float:
+    # Li_s(-e^x) for non-integer s, exact for every real x
     a = 0.5 - 1j * x / (2.0 * math.pi)
     pref = (2.0 * math.pi) ** (s - 1.0) * math.gamma(1.0 - s)
     phase = cmath.exp(1j * math.pi * (1.0 - s) / 2.0)

@@ -517,11 +517,50 @@ class TestCommandLine:
         assert result.returncode == 0
         assert "a_r" in result.stdout
 
+    @pytest.mark.parametrize("words,reason", [
+        ([], "no command given"),
+        (["plot", "{cfg}"], "unknown command 'plot'"),
+        (["run"], "run takes one CONFIG, got 0"),
+        (["run", "{cfg}", "{cfg}"], "run takes one CONFIG, got 2"),
+        (["run", "{cfg}", "--ou", "{csv}"], "unknown option '--ou' for run"),
+        (["run", "{cfg}", "--out"], "--out needs a PATH"),
+        (["run", "{cfg}", "--out", "--chart", "c.svg"], "--out needs a PATH"),
+        (["scales", "{cfg}", "--out", "{csv}"], "unknown option '--out' for scales"),
+    ], ids=["no-command", "unknown-command", "no-config", "two-configs", "unknown-option",
+            "out-without-path", "out-then-option", "out-given-to-scales"])
+    def test_bad_command_line_exits_two_with_usage(self, tmp_path, monkeypatch, capsys,
+                                                   words, reason):
+        cfg = self.write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = [w.format(cfg=cfg, csv=tmp_path / "never.csv") for w in words]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{cli.USAGE}\nslowlight: error: {reason}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("words", [["-h"], ["--help"], ["run", "--help"]])
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys, words):
+        assert main(words) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(cli.USAGE + "\n") and captured.err == ""
+
+    def test_option_forms_and_order(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        spaced, joined, first = (tmp_path / f"{name}.csv" for name in ("spaced", "joined", "first"))
+        assert main(["run", str(cfg), "--out", str(spaced)]) == 0
+        assert main(["run", str(cfg), f"--out={joined}"]) == 0
+        chart = tmp_path / "first.svg"
+        assert main(["run", "--chart", str(chart), "--out", str(first), str(cfg)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes() == first.read_bytes()
+        assert chart.read_text(encoding="utf-8").startswith("<svg")
+
     def test_run_path_imports_no_numpy_or_scipy(self, tmp_path):
         # numpy and scipy are test dependencies only, and the records need
         # neither dataclasses nor inspect: a whole run, log grid included,
-        # must load none of them, nor typing or importlib.resources.  The
-        # child runs under -S, since a site .pth may preload typing and
+        # must load none of them, nor typing or importlib.resources, nor
+        # argparse and the gettext and locale it brings.  The child runs
+        # under -S, since a site .pth may preload typing and
         # importlib.resources; PYTHONPATH then finds the package itself.
         cfg = tmp_path / "log.config"
         cfg.write_text(TINY_SWEEP.replace("sweep.points          = 3",
@@ -531,7 +570,8 @@ class TestCommandLine:
             "import sys\n"
             "from slowlight.cli import main\n"
             f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'log.csv')!r}]) == 0\n"
-            "banned = {'dataclasses', 'inspect', 'typing', 'importlib.resources'}\n"
+            "banned = {'dataclasses', 'inspect', 'typing', 'importlib.resources',\n"
+            "          'argparse', 'gettext', 'locale'}\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.partition('.')[0] in ('numpy', 'scipy') or m in banned))\n"
         )

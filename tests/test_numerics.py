@@ -1,7 +1,9 @@
 """Special functions, quadrature, and root finding."""
 
 import math
+import random
 import warnings
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -23,7 +25,10 @@ from slowlight.numerics import (
     integrate_cylindrical,
     polylog,
     riemann_zeta,
+    _FD32_FIT,
     _fd_sommerfeld,
+    _hurwitz_inversion,
+    _polylog_negative_axis,
 )
 
 mp.mp.dps = 30
@@ -181,6 +186,108 @@ class TestFermiDirac:
         x = 25.0
         leading = 4.0 / (3.0 * math.sqrt(math.pi)) * x**1.5 * (1.0 + math.pi**2 / (8 * x * x))
         assert _fd_sommerfeld(1.5, x) == pytest.approx(leading, rel=1e-5)
+
+
+FIT_EDGES = (math.log(0.5), 2.0, 6.0, 20.0)
+FIT_TERMS = 24
+
+
+@lru_cache(maxsize=None)
+def mp_fd_three_halves(x) -> mp.mpf:
+    """f_{3/2}(e^x) in mpmath at 30 digits from the Hurwitz-zeta inversion,
+    Li_s(-e^x) = 2 (2 pi)^(s-1) Gamma(1-s) Re[e^(i pi (1-s)/2) zeta(1-s, 1/2 - i x/2pi)].
+    It costs about 4 ms a call where mpmath.polylog(1.5, -e^x) costs about
+    40 ms; test_mpmath_reference_is_polylog checks that the two agree.
+    Cached, so the tests of the fit share the node values."""
+    with mp.workdps(30):
+        s = mp.mpf(1.5)
+        a = mp.mpf(0.5) - 1j * mp.mpf(x) / (2 * mp.pi)
+        return -2 * (2 * mp.pi) ** (s - 1) * mp.gamma(1 - s) * mp.re(
+            mp.expjpi((1 - s) / 2) * mp.zeta(1 - s, a))
+
+
+def mp_chebyshev_fit(lo: float, hi: float) -> tuple[float, ...]:
+    """The generator of numerics._FD32_FIT: c_k = (2/N) sum_j f(x_j) cos(k theta_j),
+    c_0 halved, at the N Chebyshev nodes x_j = mid + half cos(theta_j),
+    theta_j = pi (j + 1/2) / N, all in mpmath at 30 digits."""
+    with mp.workdps(30):
+        mid, half = (mp.mpf(lo) + hi) / 2, (mp.mpf(hi) - lo) / 2
+        theta = [mp.pi * (j + mp.mpf(0.5)) / FIT_TERMS for j in range(FIT_TERMS)]
+        values = [mp_fd_three_halves(mid + half * mp.cos(t)) for t in theta]
+        coeffs = [2 * mp.fsum(v * mp.cos(k * t) for v, t in zip(values, theta)) / FIT_TERMS
+                  for k in range(FIT_TERMS)]
+        coeffs[0] /= 2
+        return tuple(float(c) for c in coeffs)
+
+
+def fit_check_points(per_interval: int) -> list[float]:
+    """Chebyshev extrema of each fit interval, edges included: the points
+    farthest from the interpolation nodes."""
+    points = []
+    for lo, hi in zip(FIT_EDGES, FIT_EDGES[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        inner = [mid - half * math.cos(math.pi * j / (per_interval - 1))
+                 for j in range(1, per_interval - 1)]
+        points += [lo, *inner, hi]
+    return points
+
+
+class TestThreeHalvesFit:
+    """f_{3/2}(e^x) on ln 1/2 < x < 20 comes from a Chebyshev fit on three
+    intervals, reached through _polylog_negative_axis."""
+
+    def test_generator_rebuilds_the_checked_in_coefficients(self):
+        assert tuple((lo, hi) for lo, hi, _ in _FD32_FIT) == tuple(zip(FIT_EDGES, FIT_EDGES[1:]))
+        for lo, hi, coeffs in _FD32_FIT:
+            assert len(coeffs) == FIT_TERMS
+            for k, (got, want) in enumerate(zip(coeffs, mp_chebyshev_fit(lo, hi))):
+                assert abs(got - want) <= math.ulp(want), (lo, k, got, want)
+
+    def test_mpmath_reference_is_polylog(self):
+        for x in (-0.5, 3.5, 12.0):
+            exact = -mp.polylog(1.5, -mp.exp(mp.mpf(x)))
+            assert abs(mp_fd_three_halves(x) / mp.re(exact) - 1) < mp.mpf(1e-25), x
+
+    def test_against_mpmath(self):
+        points = fit_check_points(36)
+        assert len(points) >= 100
+        for x in points:
+            exact = float(mp_fd_three_halves(x))
+            assert -_polylog_negative_axis(1.5, x) == pytest.approx(exact, rel=1e-15, abs=0.0), x
+
+    def test_against_the_hurwitz_inversion(self):
+        # the Hurwitz-zeta route itself is off mpmath by up to about 4e-13
+        # relative in this window, so it checks the fit on a dense grid only
+        # to 1e-12; the mpmath check above holds the fit to 1e-15
+        rng = random.Random(1)
+        for lo, hi in zip(FIT_EDGES, FIT_EDGES[1:]):
+            for _ in range(700):
+                x = rng.uniform(lo, hi)
+                exact = -_hurwitz_inversion(1.5, x)
+                assert fermi_dirac_f(1.5, x) == pytest.approx(exact, rel=1e-12, abs=0.0), x
+
+    @pytest.mark.parametrize("edge", [2.0, 6.0])
+    def test_continuous_between_intervals(self, edge):
+        left = fermi_dirac_f(1.5, math.nextafter(edge, -math.inf))
+        right = fermi_dirac_f(1.5, edge)
+        assert right == pytest.approx(left, rel=2e-15, abs=0.0)
+        assert right == pytest.approx(float(mp_fd_three_halves(edge)), rel=1e-15, abs=0.0)
+
+    def test_continuous_with_the_series_below(self):
+        edge = math.log(DEFAULT_TOL.series_cutoff)
+        assert edge == FIT_EDGES[0]
+        series = fermi_dirac_f(1.5, edge)
+        fit = fermi_dirac_f(1.5, math.nextafter(edge, math.inf))
+        assert fit == pytest.approx(series, rel=2e-15, abs=0.0)
+
+    def test_continuous_with_sommerfeld_above(self):
+        # the truncated Sommerfeld series is itself 7e-12 off at x = 20
+        assert SOMMERFELD_SWITCH == FIT_EDGES[-1]
+        fit = fermi_dirac_f(1.5, math.nextafter(SOMMERFELD_SWITCH, 0.0))
+        asym = fermi_dirac_f(1.5, SOMMERFELD_SWITCH)
+        assert asym == pytest.approx(fit, rel=1e-11, abs=0.0)
+        assert fit == pytest.approx(float(mp_fd_three_halves(SOMMERFELD_SWITCH)),
+                                    rel=1e-15, abs=0.0)
 
 
 class TestIntegrate1d:

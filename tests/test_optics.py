@@ -11,7 +11,7 @@ from hypothesis import Phase, assume, example, given, settings, strategies as st
 from scipy.constants import c as c_light, h, hbar, k as k_B
 
 from slowlight.gas import (
-    GasSpec, Statistics, TrapGeometry, char_scales, make_profile, mu_bose,
+    GasSpec, Statistics, TrapGeometry, char_scales, density, make_profile, mu_bose,
 )
 from slowlight.numerics import DEFAULT_TOL, NumericTolerances, integrate_cylindrical
 from slowlight.optics import (
@@ -686,6 +686,19 @@ class TestSharedProfile:
         assert not any(w.is_alive() for w in workers)
         for k in range(4):
             assert rows[k] == serial[k:] + serial[:k]
+
+
+    def test_density_and_the_observables_share_one_profile(self, na_cloud):
+        spec, trap, s = na_cloud
+        T = 0.5 * s.T_c
+        make_profile.cache_clear()
+        rho = density(spec, trap, T, 0.0, 0.0)
+        delay_time(spec, trap, na_probe(), T)
+        assert make_profile.cache_info().misses == 1
+        prof = make_profile(spec, trap, T, DEFAULT_TOL)
+        assert make_profile.cache_info().currsize == 1
+        # the one profile keeps the shells that delay_time integrated over
+        assert prof._shells and prof.at(0.0, 0.0) == rho
 
 
 class TestZeroTemperatureClosedForms:
