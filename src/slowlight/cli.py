@@ -17,6 +17,8 @@ byte-identical CSV on every run.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import math
 import os
 import re
@@ -578,8 +580,9 @@ _OPTIONS = {"run": ("--out", "--chart"), "scales": ()}
 
 def _parse_command_line(argv: Sequence[str]) -> tuple[str, str, dict[str, str]]:
     """(command, CONFIG, {option: PATH}) of a command line in the grammar of
-    USAGE; a PATH follows its option as the next word or after ``=``.
-    Anything else raises ValueError with the reason."""
+    USAGE; a PATH follows its option as the next word or after ``=``.  For
+    ``run``, ``--out`` is always filled in, and no output may be CONFIG or
+    the other output.  Anything else raises ValueError with the reason."""
     if not argv:
         raise ValueError("no command given")
     command, *rest = argv
@@ -603,11 +606,24 @@ def _parse_command_line(argv: Sequence[str]) -> tuple[str, str, dict[str, str]]:
         options[name] = value
     if len(configs) != 1:
         raise ValueError(f"{command} takes one CONFIG, got {len(configs)}")
+    if command == "run":
+        options.setdefault("--out", Path(configs[0]).stem + "_sweep.csv")
+        seen = {os.path.realpath(configs[0]): "CONFIG"}
+        for name in ("--out", "--chart"):
+            if name in options:
+                real = os.path.realpath(options[name])
+                if real in seen:
+                    raise ValueError(f"{name} names the same file as {seen[real]}")
+                seen[real] = name
     return command, configs[0], options
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:
+        # The process ends with this command, so its shutdown collections
+        # need not walk the heap; an in-process caller keeps its own.
+        atexit.register(gc.freeze)
+        argv = sys.argv[1:]
     if "-h" in argv or "--help" in argv:
         print(f"{USAGE}\n{_HELP}")
         return 0
@@ -622,7 +638,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if command == "scales":
             return 0
         rows = run_sweep(config)
-        out_csv = options.get("--out", Path(config_path).stem + "_sweep.csv")
+        out_csv = options["--out"]
         write_csv(rows, out_csv)
         print(f"wrote {len(rows)} rows to {out_csv}")
         chart = options.get("--chart")

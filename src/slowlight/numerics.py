@@ -29,7 +29,6 @@ an adaptive 21-point Gauss-Kronrod rule with QUADPACK's error estimate
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections import namedtuple
@@ -262,7 +261,9 @@ def _hurwitz_inversion(s: float, x: float) -> float:
     # Li_s(-e^x) for non-integer s, exact for every real x
     a = 0.5 - 1j * x / (2.0 * math.pi)
     pref = (2.0 * math.pi) ** (s - 1.0) * math.gamma(1.0 - s)
-    phase = cmath.exp(1j * math.pi * (1.0 - s) / 2.0)
+    # exp(i t) as cmath.exp computes it, without loading cmath
+    t = math.pi * (1.0 - s) / 2.0
+    phase = complex(math.cos(t), math.sin(t))
     return pref * 2.0 * (phase * _hurwitz_zeta(1.0 - s, a)).real
 
 

@@ -1,11 +1,13 @@
 """Config parsing, sweep orchestration, CSV, and SVG output."""
 
+import gc
 import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,12 @@ sweep.start           = 0.8
 sweep.stop            = 1.2
 sweep.points          = 3
 """
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this package."""
+    package_parent = Path(slowlight.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": str(package_parent)}
 
 
 class TestParseConfig:
@@ -412,6 +420,14 @@ class TestCommandLine:
         cfg.write_text(TINY_SWEEP, encoding="utf-8")
         return cfg
 
+    def write_detuning_config(self, tmp_path):
+        cfg = tmp_path / "detuning.config"
+        text = TINY_SWEEP.replace("sweep.axis            = temperature",
+                                  "sweep.axis            = detuning")
+        text = text.replace("= 0.8", "= 10").replace("= 1.2", "= 20")
+        cfg.write_text(text + "sweep.temperature = 1.0\n", encoding="utf-8")
+        return cfg
+
     def test_run_and_scales_exit_zero(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         out_csv = tmp_path / "out.csv"
@@ -475,11 +491,7 @@ class TestCommandLine:
         assert a.read_bytes() != b.read_bytes()
 
     def test_detuning_sweep_charts_transmission(self, tmp_path):
-        cfg = tmp_path / "detuning.config"
-        text = TINY_SWEEP.replace("sweep.axis            = temperature",
-                                  "sweep.axis            = detuning")
-        text = text.replace("= 0.8", "= 10").replace("= 1.2", "= 20")
-        cfg.write_text(text + "sweep.temperature = 1.0\n", encoding="utf-8")
+        cfg = self.write_detuning_config(tmp_path)
         out_svg = tmp_path / "detuning.svg"
         assert main(["run", str(cfg), "--out", str(tmp_path / "detuning.csv"),
                      "--chart", str(out_svg)]) == 0
@@ -517,6 +529,54 @@ class TestCommandLine:
         assert result.returncode == 0
         assert "a_r" in result.stdout
 
+    # main() reading the process's own command line registers gc.freeze with
+    # atexit; a hook registered before main runs after that freeze
+    CHILD = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,\n"
+             "                              file=sys.stderr))\n"
+             "from slowlight.cli import main\n"
+             "sys.exit(main())\n")
+
+    def test_command_in_a_child_process_freezes_its_heap_at_exit(self, tmp_path):
+        def child(*words):
+            return subprocess.run([sys.executable, "-c", self.CHILD, *map(str, words)],
+                                  capture_output=True, text=True, env=_child_env())
+
+        cfg = self.write_config(tmp_path)
+        csv, svg = tmp_path / "child.csv", tmp_path / "child.svg"
+        result = child("run", cfg, "--out", csv, "--chart", svg)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-2:] == [f"wrote 3 rows to {csv}",
+                                                   f"wrote chart to {svg}"]
+        assert result.stderr == "frozen True\n"
+        in_csv, in_svg = tmp_path / "in_process.csv", tmp_path / "in_process.svg"
+        frozen = gc.get_freeze_count()
+        assert main(["run", str(cfg), "--out", str(in_csv), "--chart", str(in_svg)]) == 0
+        assert gc.get_freeze_count() == frozen
+        assert csv.read_bytes() == in_csv.read_bytes()
+        assert svg.read_bytes() == in_svg.read_bytes()
+
+        bad = tmp_path / "bad.config"
+        bad.write_text(TINY_SWEEP.replace("= 1/3", "= -1"), encoding="utf-8")
+        result = child("run", bad, "--out", tmp_path / "never.csv")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:") and result.stderr.endswith("frozen True\n")
+        result = child("run")
+        assert result.returncode == 2
+        assert result.stderr.startswith(cli.USAGE) and result.stderr.endswith("frozen True\n")
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_run_leaves_no_file_for_a_finalizer_to_close(self, tmp_path):
+        # the command skips its shutdown collections, which loses nothing
+        # only while a run closes every file it opens
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for cfg in (self.write_config(tmp_path), self.write_detuning_config(tmp_path)):
+                assert main(["run", str(cfg), "--out", str(cfg.with_suffix(".csv")),
+                             "--chart", str(cfg.with_suffix(".svg"))]) == 0
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     @pytest.mark.parametrize("words,reason", [
         ([], "no command given"),
         (["plot", "{cfg}"], "unknown command 'plot'"),
@@ -526,8 +586,12 @@ class TestCommandLine:
         (["run", "{cfg}", "--out"], "--out needs a PATH"),
         (["run", "{cfg}", "--out", "--chart", "c.svg"], "--out needs a PATH"),
         (["scales", "{cfg}", "--out", "{csv}"], "unknown option '--out' for scales"),
+        (["run", "{cfg}", "--out", "./tiny.config"], "--out names the same file as CONFIG"),
+        (["run", "{cfg}", "--out", "{csv}", "--chart", "{csv}"],
+         "--chart names the same file as --out"),
     ], ids=["no-command", "unknown-command", "no-config", "two-configs", "unknown-option",
-            "out-without-path", "out-then-option", "out-given-to-scales"])
+            "out-without-path", "out-then-option", "out-given-to-scales", "out-is-config",
+            "chart-is-out"])
     def test_bad_command_line_exits_two_with_usage(self, tmp_path, monkeypatch, capsys,
                                                    words, reason):
         cfg = self.write_config(tmp_path)
@@ -537,7 +601,8 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{cli.USAGE}\nslowlight: error: {reason}\n"
-        assert not list(tmp_path.glob("*.csv"))
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
+        assert cfg.read_text(encoding="utf-8") == TINY_SWEEP
 
     @pytest.mark.parametrize("words", [["-h"], ["--help"], ["run", "--help"]])
     def test_help_exits_zero_with_usage_on_stdout(self, capsys, words):
@@ -571,14 +636,12 @@ class TestCommandLine:
             "from slowlight.cli import main\n"
             f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'log.csv')!r}]) == 0\n"
             "banned = {'dataclasses', 'inspect', 'typing', 'importlib.resources',\n"
-            "          'argparse', 'gettext', 'locale'}\n"
+            "          'argparse', 'gettext', 'locale', 'cmath'}\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.partition('.')[0] in ('numpy', 'scipy') or m in banned))\n"
         )
-        package_parent = Path(slowlight.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(package_parent)}
         result = subprocess.run([sys.executable, "-S", "-c", script],
-                                capture_output=True, text=True, env=env)
+                                capture_output=True, text=True, env=_child_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         assert len((tmp_path / "log.csv").read_text().splitlines()) == 3
