@@ -405,32 +405,17 @@ _COLORS = {"fermi": "#c4461f", "bose": "#1f62c4", "boltzmann": "#3d9943"}
 _TICKS = 6
 
 
-def _linear_ticks(lo: float, hi: float) -> list[float]:
-    # a 1-2-5 step that gives at most _TICKS intervals
+def _linear_ticks(lo: float, hi: float, step: float = 0.0) -> list[float]:
+    # the multiples k * step in [lo, hi], by default of a 1-2-5 step that gives
+    # at most _TICKS intervals; counted, so a step below an ulp of lo still ends
     span = hi - lo
-    if span <= 0.0:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10(span / _TICKS))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= _TICKS:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    value = first
-    while value <= hi + 1e-12 * span:
-        ticks.append(value)
-        value += step
-    return ticks
-
-
-def _decade_ticks(lo: float, hi: float) -> list[float]:
-    ticks = []
-    k = math.ceil(math.log10(lo) - 1e-12)
-    while 10.0**k <= hi * (1.0 + 1e-12):
-        ticks.append(10.0**k)
-        k += 1
-    return ticks
+    if not step:
+        if span <= 0.0:
+            return [lo]
+        step = 10.0 ** math.floor(math.log10(span / _TICKS))
+        step *= next(m for m in (1.0, 2.0, 5.0, 10.0) if span / (step * m) <= _TICKS)
+    return [k * step for k in range(math.ceil(lo / step),
+                                    math.floor((hi + 1e-12 * span) / step) + 1)]
 
 
 def _px(v: float | int) -> str:
@@ -499,8 +484,9 @@ def emit_chart(
         return _MARGIN_T + (top - axis(y)) / (top - bottom) * plot_h
 
     if log_y:
-        y_ticks = _decade_ticks(y_lo, y_hi)
-        y_tick_labels = [f"1e{int(round(math.log10(t))):+03d}" for t in y_ticks]
+        decades = [int(k) for k in _linear_ticks(math.log10(y_lo), math.log10(y_hi), 1.0)]
+        y_ticks = [10.0**k for k in decades]
+        y_tick_labels = [f"1e{k:+03d}" for k in decades]
     else:
         y_ticks = _linear_ticks(y_lo, y_hi)
         y_tick_labels = [f"{t:g}" for t in y_ticks]

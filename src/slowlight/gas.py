@@ -6,8 +6,9 @@ Characteristic scales use the ideal-gas trap definitions
 E_F = hbar*wbar*(6N)^(1/3) and k_B T_c = hbar*wbar*(N/zeta(3))^(1/3)
 with wbar = eps^(1/3) omega_r, which reproduce T_F/T_c = (6 zeta(3))^(1/3).
 
-Density models: a thermal cloud plus one Thomas-Fermi paraboloid
-A (R_c^2 - s^2)^p, s^2 = r^2 + eps^2 z^2, either of which may be absent.
+Density models: one thermal function, chosen when the profile is built and
+zero at T = 0, plus one Thomas-Fermi paraboloid A (R_c^2 - s^2)^p,
+s^2 = r^2 + eps^2 z^2, which may be absent.
   Fermi      rho = f_{3/2}(e^{beta(mu - V)}) / lambda_T^3, mu fixed by the
              normalization integral N = int rho dV.  At T = 0 the sphere
              8 N eps (R_F^2 - s^2)^(3/2) / (pi^2 R_F^6).
@@ -224,15 +225,21 @@ def mu_bose(T: float, spec: GasSpec, scales: CharScales) -> ThermoPoint:
 class DensityProfile:
     """Frozen evaluation context: rho(r, z) at fixed (spec, trap, T).
 
-    Every cloud is a thermal part plus one Thomas-Fermi term
+    Every cloud is one thermal function plus one Thomas-Fermi term
     A (R_c^2 - s^2)^p on s^2 = r^2 + eps^2 z^2 < R_c^2, so rho depends on
-    (r, z) through s alone.  The term is the condensate (mu - V)/U below
-    T_c (p = 1), the whole cloud at T = 0 (p = 1 for Bose with R_c = R_B,
-    p = 3/2 for the Fermi sphere with R_c = R_F), and absent otherwise.
-    At T = 0 there is no thermal part.
+    (r, z) through s alone.  The thermal function is chosen once, at
+    construction: _ladder(n, v), the special function of order n at
+    beta V = v, is f_n(e^{x0 - v}) (Fermi), kappa g_n(z e^{-v}) (Bose, with
+    kappa = 1 above T_c and z = 1 below) or z e^{-v} for every n
+    (Boltzmann), and exactly zero at T = 0.  At n = 3/2 it is lambda_T^3
+    times the thermal density; n = 3 and 4 give the moments.  The
+    Thomas-Fermi term is the condensate (mu - V)/U below T_c (p = 1), the
+    whole cloud at T = 0 (p = 1 for Bose with R_c = R_B, p = 3/2 for the
+    Fermi sphere with R_c = R_F), and absent otherwise.
 
     Precomputes the chemical potential, wavelength, and amplitudes once so
-    quadrature loops pay only for the local special-function call.
+    every density node takes the same path, whatever the statistics and T,
+    and pays only for the local special-function call.
     tf_radius is R_c, where the density kinks; 0 when there is no
     Thomas-Fermi term.
 
@@ -250,6 +257,7 @@ class DensityProfile:
         self.T = T
         self._shells = {}  # scaled radius s -> at(s, 0.0), see at_radius
         self.scales = char_scales(spec, trap)
+        self._eps2 = trap.epsilon**2
         s = self.scales
         stats = spec.statistics
         # the Thomas-Fermi term A (R_c^2 - s^2)^p; absent unless set below
@@ -257,7 +265,10 @@ class DensityProfile:
         self._tf_amp = 0.0
         self._tf_power = 1.0
         if T == 0.0:
-            # no thermal part: the whole cloud is the Thomas-Fermi term
+            # no thermal part: a zero ladder with finite scales adds exactly
+            # +0.0 to every value; the whole cloud is the Thomas-Fermi term
+            self._ladder = lambda order, v=0.0: 0.0
+            self._lam3 = self._vcoef = 1.0
             N, eps = spec.n_atoms, trap.epsilon
             if stats is Statistics.FERMI:
                 self.tf_radius = s.R_F
@@ -276,46 +287,34 @@ class DensityProfile:
         self._vcoef = 0.5 * spec.mass * trap.omega_r**2 * beta
         sigma_r = math.sqrt(k_B * T / (spec.mass * trap.omega_r**2))
         if stats is Statistics.FERMI:
-            self._x0 = solve_mu_fermi(T, s) * beta
+            x0 = solve_mu_fermi(T, s) * beta
+            self._ladder = lambda order, v=0.0: fermi_dirac_f(order, x0 - v)
             self.r_cut = 8.0 * max(s.R_F, sigma_r)
         elif stats is Statistics.BOSE:
             point = mu_bose(T, spec, s)
-            self._fugacity = point.fugacity
-            self._kappa = 1.0
+            z = point.fugacity
+            kappa = 1.0
             if T <= s.T_c:
                 # thermal amplitude scaled so the cloud holds N - N_0 atoms
-                self._kappa = (1.0 - point.condensate_fraction) / (T / s.T_c) ** 3
+                kappa = (1.0 - point.condensate_fraction) / (T / s.T_c) ** 3
                 # condensate (mu - V)/U with U = 4 pi hbar^2 a / M
                 half_M_w2 = 0.5 * spec.mass * trap.omega_r**2
                 self._tf_amp = half_M_w2 * spec.mass / (4.0 * math.pi * hbar**2 * spec.a_sc)
                 self.tf_radius = math.sqrt(point.mu / half_M_w2)
+            self._ladder = lambda order, v=0.0: kappa * polylog(order, z * math.exp(-v))
             self.r_cut = 8.0 * max(s.R_B, sigma_r)
         elif stats is Statistics.BOLTZMANN:
-            self._zmu = math.exp(mu_classical(T, s) * beta)
+            zmu = math.exp(mu_classical(T, s) * beta)
+            self._ladder = lambda order, v=0.0: zmu * math.exp(-v)
             self.r_cut = 8.0 * sigma_r
         else:  # pragma: no cover
             raise UnsupportedStatisticsError(str(stats))
         self.z_cut = self.r_cut / trap.epsilon
 
-    def _ladder(self, order: float, v: float = 0.0) -> float:
-        """The thermal cloud's special function of order n at beta V = v:
-        f_n(e^{x0 - v}), or kappa g_n(z e^{-v}) with kappa = 1 above T_c and
-        z = 1 below, and z e^{-v} for every n in the Boltzmann limit.  At
-        n = 3/2 it is lambda_T^3 times the thermal density; n = 3 and 4 give
-        the moments below."""
-        stats = self.spec.statistics
-        if stats is Statistics.FERMI:
-            return fermi_dirac_f(order, self._x0 - v)
-        if stats is Statistics.BOLTZMANN:
-            return self._zmu * math.exp(-v)
-        return self._kappa * polylog(order, self._fugacity * math.exp(-v))
-
     def at(self, r: float, z: float) -> float:
         """Number density in m^-3."""
-        s2 = r * r + self.trap.epsilon**2 * z * z
-        rho = 0.0
-        if self.T > 0.0:
-            rho = self._ladder(1.5, self._vcoef * s2) / self._lam3
+        s2 = r * r + self._eps2 * z * z
+        rho = self._ladder(1.5, self._vcoef * s2) / self._lam3
         R_c2 = self.tf_radius**2
         if s2 < R_c2:
             rho += self._tf_amp * (R_c2 - s2) ** self._tf_power
@@ -339,27 +338,23 @@ class DensityProfile:
         """int z^2 rho dV in m^2 (atoms times m^2), in closed form."""
         eps = self.trap.epsilon
         p = self._tf_power
+        a = self._vcoef
         moment = (
             self._tf_amp * (2.0 * math.pi / (3.0 * eps**3)) * self.tf_radius ** (2.0 * p + 5.0)
             * math.gamma(2.5) * math.gamma(p + 1.0) / math.gamma(p + 3.5)
         )
-        if self.T > 0.0:
-            a = self._vcoef
-            moment += self._ladder(4.0) * (math.pi / a) ** 1.5 / (2.0 * a * eps**3 * self._lam3)
-        return moment
+        return moment + self._ladder(4.0) * (math.pi / a) ** 1.5 / (2.0 * a * eps**3 * self._lam3)
 
     def pinhole_column(self, radius: float) -> float:
         """Atoms in the axial cylinder r < radius, int_{r<radius} dA int dz rho,
         in closed form.  The thermal part is a difference of two order-3
         functions, which loses about log10(1 / (a radius^2)) digits."""
         eps = self.trap.epsilon
-        column = 0.0
-        if self.T > 0.0:
-            a = self._vcoef
-            column = (
-                (self._ladder(3.0) - self._ladder(3.0, a * radius * radius))
-                * math.pi**1.5 / (eps * self._lam3 * a**1.5)
-            )
+        a = self._vcoef
+        column = (
+            (self._ladder(3.0) - self._ladder(3.0, a * radius * radius))
+            * math.pi**1.5 / (eps * self._lam3 * a**1.5)
+        )
         R_c = self.tf_radius
         if R_c > 0.0:
             p = self._tf_power

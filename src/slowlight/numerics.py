@@ -72,11 +72,11 @@ class NumericTolerances(namedtuple("NumericTolerances", "rel_tol_quadrature")):
     depends on it.
 
     The root tolerance, the series cutoff and the iteration budget are
-    constants of the class: every run uses the same values.  find_root and
-    the quadrature loop read them from the class.  polylog, fermi_dirac_f
-    and their helpers still take a record and read them through it, and
-    make_profile keeps one in its cache key, because the benchmark's tracer
-    and layer timings call them with one."""
+    constants of the class: every run uses the same values.  find_root, the
+    quadrature loop and the private special-function helpers read them from
+    the class.  polylog and fermi_dirac_f still take a record and read the
+    series cutoff through it, and make_profile keeps one in its cache key,
+    because the benchmark's tracer and layer timings call them with one."""
 
     __slots__ = ()
     rel_tol_root = 1e-12
@@ -147,11 +147,11 @@ def _is_integer(s: float) -> bool:
     return abs(s - round(s)) < 1e-12
 
 
-def _polylog_series(s: float, z: float, tol: NumericTolerances) -> float:
+def _polylog_series(s: float, z: float) -> float:
     # Direct sum of z^j / j^s; geometric for |z| <= series_cutoff.
     acc = 0.0
     zj = 1.0
-    for j in range(1, tol.max_iterations + 1):
+    for j in range(1, NumericTolerances.max_iterations + 1):
         zj *= z
         term = zj / j**s
         acc += term
@@ -305,7 +305,7 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
             raise DomainError("Li_1 diverges at z = 1")
         return -math.log1p(-z)
     if abs(z) <= tol.series_cutoff:
-        return _polylog_series(s, z, tol)
+        return _polylog_series(s, z)
     if z > 0.0:
         if s <= 1.0:
             raise DomainError(f"polylog near z=1 requires s > 1, got s={s}")
@@ -314,7 +314,7 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
     return -fermi_dirac_f(s, math.log(-z), tol)
 
 
-def _fd_integer(n: int, x: float, tol: NumericTolerances) -> float:
+def _fd_integer(n: int, x: float) -> float:
     # f_n(e^x) for integer n >= 1; exact reflection for x > 0.
     if n < 1:
         raise DomainError(f"integer Fermi-Dirac order must be >= 1, got {n}")
@@ -322,12 +322,12 @@ def _fd_integer(n: int, x: float, tol: NumericTolerances) -> float:
         return math.log1p(math.exp(x)) if x <= 0.0 else x + math.log1p(math.exp(-x))
     if x > 0.0:
         sign = 1.0 if n % 2 else -1.0
-        return _fd_front_polynomial(n, x) + sign * _fd_integer(n, -x, tol)
+        return _fd_front_polynomial(n, x) + sign * _fd_integer(n, -x)
     y = math.exp(x)
-    if y <= tol.series_cutoff:
-        return -_polylog_series(n, -y, tol)
+    if y <= NumericTolerances.series_cutoff:
+        return -_polylog_series(n, -y)
     # the square formula Li_n(-y) + Li_n(y) = 2^{1-n} Li_n(y^2), solved for f_n(y) = -Li_n(-y)
-    return polylog(n, y, tol) - 2 ** (1 - n) * polylog(n, y * y, tol)
+    return polylog(n, y) - 2 ** (1 - n) * polylog(n, y * y)
 
 
 def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
@@ -338,9 +338,9 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
     f_{3/2}(e^x) / lambda_T^3.
     """
     if x <= math.log(tol.series_cutoff):
-        return -_polylog_series(nu, -math.exp(x), tol)
+        return -_polylog_series(nu, -math.exp(x))
     if _is_integer(nu):
-        return _fd_integer(round(nu), x, tol)
+        return _fd_integer(round(nu), x)
     if x < SOMMERFELD_SWITCH:
         return -_polylog_negative_axis(nu, x)
     return _fd_sommerfeld(nu, x)

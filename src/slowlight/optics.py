@@ -207,6 +207,12 @@ def _pinhole_integral(
     condensate edge tf_radius are breakpoints of whichever piece they fall in.
     rho(s) comes from the profile's memo (at_radius), so the nodes that
     repeat at every point of a detuning sweep are evaluated once.
+
+    The overlap s - t is taken as R^2 / (s + t), which does not cancel where
+    t >> R.  The weight t R^2 / (s + t) turns from t R to R^2 / 2 over t ~ R,
+    a feature of width R at one end of a piece of width W, so a pinhole much
+    narrower than the window adds breakpoints at t = R 2^k below W / 64.
+    Checked against the 2-D quadrature for R / W from 3.5e-2 down to 3.5e-8.
     """
 
     rho = prof.at_radius
@@ -216,11 +222,15 @@ def _pinhole_integral(
             return min(u * u, W * u) * F(rho(u))
         t = u - R
         s = math.sqrt(R * R + t * t)
-        return t * (min(s, W) - t) * F(rho(s))
+        return t * (R * R / (s + t) if s < W else W - t) * F(rho(s))
 
     edges = (W, prof.tf_radius)
     points = [R, *(e for e in edges if e < R),
               *(R + math.sqrt(e * e - R * R) for e in edges if e > R)]
+    t = R
+    while t < W / 64.0:
+        points.append(R + t)
+        t += t
     return 4.0 * math.pi / prof.trap.epsilon * integrate_1d(shell, 0.0, R + W, tol, points)
 
 

@@ -498,6 +498,22 @@ class TestCommandLine:
         svg = out_svg.read_text(encoding="utf-8")
         assert ">detuning / gamma</text>" in svg and ">transmission</text>" in svg
 
+    def test_chart_of_an_axis_one_ulp_wide_ends(self, tmp_path):
+        # a tick step under half an ulp of the axis once stopped the tick loop
+        # from advancing, so the run wrote its CSV and never returned
+        cfg = tmp_path / "ulp.config"
+        text = TINY_SWEEP.replace("= 0.8", "= 1").replace("= 1.2", "= 1.0000000000000002")
+        cfg.write_text(text.replace("sweep.points          = 3", "sweep.points = 2"),
+                       encoding="utf-8")
+        svg = tmp_path / "ulp.svg"
+        result = subprocess.run(
+            [sys.executable, "-m", "slowlight.cli", "run", str(cfg),
+             "--out", str(tmp_path / "ulp.csv"), "--chart", str(svg)],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert svg.read_text(encoding="utf-8").startswith("<svg")
+
     def test_pinhole_wider_than_cloud_exits_nonzero_naming_key(self, tmp_path, capsys):
         # the Boltzmann cloud's cut-off radius at 0.8 T_c is about 0.1 mm
         bad = tmp_path / "pinhole.config"

@@ -169,7 +169,7 @@ class TestFermiDirac:
         from slowlight.numerics import _polylog_negative_axis, _polylog_series
 
         cut = math.log(DEFAULT_TOL.series_cutoff)
-        series = -_polylog_series(1.5, -math.exp(cut), DEFAULT_TOL)
+        series = -_polylog_series(1.5, -math.exp(cut))
         exact = -_polylog_negative_axis(1.5, cut)
         assert series == pytest.approx(exact, rel=1e-11)
 

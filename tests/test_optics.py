@@ -422,6 +422,31 @@ class TestShellIntegral:
         got = math.log(_transmission_of_profile(prof, probe, L, DEFAULT_TOL))
         assert got == pytest.approx(alpha_T, rel=1e-8)
 
+    @pytest.mark.parametrize("stat", list(Statistics))
+    @pytest.mark.parametrize("local_field,ratio", [(False, 1e-5), (False, 3.5e-7),
+                                                   (True, 2e-6), (True, 2.2e-7)])
+    def test_pinhole_far_narrower_than_the_window(self, na_cloud, stat, local_field, ratio):
+        # R / W <= 1e-5, W the window: the overlap s - t cancelled for t >> R and
+        # the quadrature raised NonConvergenceError, or missed the turn of the
+        # weight at t ~ R and was silently off
+        prof = self.profile(na_cloud, stat, 0.5)
+        L = math.sqrt(prof.axial_moment() / prof.spec.n_atoms)
+        z_max = prof.z_cut if local_field else min(0.5 * L, prof.z_cut)
+        probe = na_probe(10.0, ratio * prof.trap.epsilon * z_max, local_field)
+        R, alpha = probe.pinhole_R, polarizability(probe)
+        if local_field:
+            got = _delay_of_profile(prof, probe, DEFAULT_TOL)
+            F = lambda rho: 2.0 * math.pi * OMEGA_0 * alpha * rho / (
+                probe.delta * c_light * (1.0 - (4.0 * math.pi / 3.0) * alpha * rho) ** 2)
+        else:
+            got = math.log(_transmission_of_profile(prof, probe, L, DEFAULT_TOL))
+            F = lambda rho: -2.0 * OMEGA_0 / c_light * susceptibility(rho, probe).chi_abs
+        oracle = integrate_cylindrical(
+            lambda r, z: F(prof.at(r, z)), R, z_max, NumericTolerances(1e-10),
+            z_breakpoints=prof.z_breakpoints, r_breakpoints=(prof.tf_radius,),
+        ) / (math.pi * R * R)
+        assert got == pytest.approx(oracle, rel=1e-8, abs=0.0)
+
     @pytest.mark.parametrize("stat,reduced", [
         (Statistics.FERMI, 0.0), (Statistics.FERMI, 0.3), (Statistics.BOSE, 0.0),
         (Statistics.BOSE, 0.5), (Statistics.BOSE, 0.97), (Statistics.BOSE, 1.5),
