@@ -1,7 +1,8 @@
 """Configuration, sweep orchestration, and output.
 
 Config files are line-oriented ``section.key = value`` text with ``#``
-comments; the table ``_KEYS`` holds every key with its parser and default.
+comments; the table ``_KEYS`` holds every key with its parser, its default
+and the range its value alone must keep.
 The config describes the physics only: the probe resonance is given by its
 wavelength, and the dipole moment is always the two-level one fixed by the
 linewidth.  Frequencies are given in ordinary Hz and multiplied by 2*pi
@@ -23,7 +24,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from collections import namedtuple
 from collections.abc import Sequence
 from pathlib import Path
@@ -32,8 +32,6 @@ from .constants import c as C_LIGHT
 from .gas import GasSpec, Statistics, TrapGeometry, char_scales, thermal_wavelength
 from .numerics import replace
 from .optics import ProbeParams, effective_group_velocity
-
-CSV_HEADER = "statistics,x,L_m,t_d_s,v_g_mps,transmission"
 
 
 class ConfigError(ValueError):
@@ -84,7 +82,13 @@ class RunConfig(namedtuple("RunConfig", "gas trap probe sweep scales")):
 
 
 class SweepRow(namedtuple("SweepRow", "statistics x L_m t_d_s v_g_mps transmission")):
+    """One CSV row: the statistics, then the numbers, in the order of the
+    columns."""
+
     __slots__ = ()
+
+
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 _LENGTH_SUFFIX = {
@@ -157,34 +161,33 @@ def _statistics_list(text: str) -> tuple[Statistics, ...]:
 
 
 _REQUIRED = object()
+_POSITIVE_VALUE = (lambda v: v > 0.0, "must be positive")
 
-# The config language: key -> (parser, default) in the order parse_config
-# reads them.  A _REQUIRED key must be given; None stands for an absent key,
-# which the cross-field rules in parse_config may still require or refuse.
+# The config language: key -> (parser, default, rule) in the order
+# parse_config reads them.  A _REQUIRED key must be given; None stands for an
+# absent key, which the cross-field rules in parse_config may still require or
+# refuse.  The rule (holds, need), if any, is the range a given value keeps
+# on its own: holds(value) is true, or the value is refused with need.
 _KEYS = {
-    "gas.statistics": (_statistics, _REQUIRED),
-    "gas.atom_count": (_number, _REQUIRED),
-    "gas.mass": (_number, _REQUIRED),
-    "gas.scattering_length": (_length, 0.0),
-    "trap.frequency_hz": (_number, _REQUIRED),
-    "trap.epsilon": (_number, _REQUIRED),
-    "probe.wavelength": (_length, _REQUIRED),
-    "probe.linewidth_hz": (_number, _REQUIRED),
-    "probe.detuning_gamma": (_number, _REQUIRED),
-    "probe.pinhole_radius": (_length, _REQUIRED),
-    "probe.local_field": (_boolean, True),
-    "sweep.axis": (_choice("temperature", "detuning"), _REQUIRED),
-    "sweep.start": (_number, _REQUIRED),
-    "sweep.stop": (_number, _REQUIRED),
-    "sweep.points": (_integer, _REQUIRED),
-    "sweep.scale": (_choice("linear", "log"), "linear"),
-    "sweep.statistics": (_statistics_list, None),  # default: (gas.statistics,)
-    "sweep.temperature": (_number, None),
+    "gas.statistics": (_statistics, _REQUIRED, None),
+    "gas.atom_count": (_number, _REQUIRED, (lambda v: v >= 1.0, "must be >= 1")),
+    "gas.mass": (_number, _REQUIRED, _POSITIVE_VALUE),
+    "gas.scattering_length": (_length, 0.0, (lambda v: v >= 0.0, "must be >= 0")),
+    "trap.frequency_hz": (_number, _REQUIRED, _POSITIVE_VALUE),
+    "trap.epsilon": (_number, _REQUIRED, _POSITIVE_VALUE),
+    "probe.wavelength": (_length, _REQUIRED, _POSITIVE_VALUE),
+    "probe.linewidth_hz": (_number, _REQUIRED, _POSITIVE_VALUE),
+    "probe.detuning_gamma": (_number, _REQUIRED, (lambda v: v != 0.0, "must be nonzero")),
+    "probe.pinhole_radius": (_length, _REQUIRED, _POSITIVE_VALUE),
+    "probe.local_field": (_boolean, True, None),
+    "sweep.axis": (_choice("temperature", "detuning"), _REQUIRED, None),
+    "sweep.start": (_number, _REQUIRED, _POSITIVE_VALUE),
+    "sweep.stop": (_number, _REQUIRED, None),
+    "sweep.points": (_integer, _REQUIRED, (lambda v: v >= 2, "need at least 2")),
+    "sweep.scale": (_choice("linear", "log"), "linear", None),
+    "sweep.statistics": (_statistics_list, None, None),  # default: (gas.statistics,)
+    "sweep.temperature": (_number, None, _POSITIVE_VALUE),
 }
-_POSITIVE = (
-    "gas.mass", "trap.frequency_hz", "trap.epsilon", "probe.wavelength",
-    "probe.linewidth_hz", "probe.pinhole_radius", "sweep.start", "sweep.temperature",
-)
 
 
 def _tokenize(text: str) -> dict[str, tuple[str, int]]:
@@ -214,7 +217,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document; derived scales included."""
     items = _tokenize(text)
     v = {}
-    for key, (parse, default) in _KEYS.items():
+    for key, (parse, default, rule) in _KEYS.items():
         entry = items.get(key)
         if entry is None:
             if default is _REQUIRED:
@@ -227,8 +230,8 @@ def parse_config(text: str) -> RunConfig:
             # NaN, so non-finite values stop here with their key
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"must be finite, got {value}")
-            if key in _POSITIVE and value <= 0.0:
-                raise ValueError(f"must be positive, got {value}")
+            if rule and not rule[0](value):
+                raise ValueError(f"{rule[1]}, got {value}")
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}", entry[1]) from None
         v[key] = value
@@ -238,14 +241,6 @@ def parse_config(text: str) -> RunConfig:
 
     a_sc, axis = v["gas.scattering_length"], v["sweep.axis"]
     start, stop = v["sweep.start"], v["sweep.stop"]
-    if v["gas.atom_count"] < 1.0:
-        raise invalid("gas.atom_count", f"must be >= 1, got {v['gas.atom_count']}")
-    if a_sc < 0.0:
-        raise invalid("gas.scattering_length", "must be >= 0")
-    if v["probe.detuning_gamma"] == 0.0:
-        raise invalid("probe.detuning_gamma", "must be nonzero")
-    if v["sweep.points"] < 2:
-        raise invalid("sweep.points", f"need at least 2, got {v['sweep.points']}")
     if not start < stop:
         raise invalid("sweep.stop", f"must be > sweep.start, got [{start}, {stop}]")
     if axis == "detuning" and v["sweep.temperature"] is None:
@@ -325,17 +320,16 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     return rows
 
 
-def _format_value(value: float) -> str:
-    return f"{value:.11e}"
-
-
 def _atomic_write(path: str | os.PathLike, data: str) -> None:
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
+    """Write data to path through a temporary beside it and os.replace, so a
+    reader sees the old file or the new one.  The temporary is created as
+    open(path, "w") creates a file, mode 0o666 less the umask."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(data)
-        os.replace(tmp, target)
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -349,8 +343,7 @@ class OutputRowError(ValueError):
 
 
 def _check_row(row: SweepRow) -> None:
-    values = (row.x, row.L_m, row.t_d_s, row.v_g_mps, row.transmission)
-    if not all(math.isfinite(v) for v in values):
+    if not all(math.isfinite(v) for v in row[1:]):
         raise OutputRowError(f"non-finite value in row {row}")
     if not 0.0 < row.transmission <= 1.0:
         raise OutputRowError(f"transmission outside (0, 1] in row {row}")
@@ -365,18 +358,7 @@ def write_csv(rows: Sequence[SweepRow], path: str | os.PathLike) -> None:
     lines = [CSV_HEADER]
     for row in rows:
         _check_row(row)
-        lines.append(
-            ",".join(
-                (
-                    row.statistics,
-                    _format_value(row.x),
-                    _format_value(row.L_m),
-                    _format_value(row.t_d_s),
-                    _format_value(row.v_g_mps),
-                    _format_value(row.transmission),
-                )
-            )
-        )
+        lines.append(",".join((row.statistics, *(f"{v:.11e}" for v in row[1:]))))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -387,13 +369,10 @@ def read_csv(path: str | os.PathLike) -> list[SweepRow]:
         raise ValueError(f"unexpected CSV header in {path}")
     rows = []
     for line in lines[1:]:
-        stat, x, L_m, t_d_s, v_g, trans = line.split(",")
-        rows.append(
-            SweepRow(
-                statistics=stat, x=float(x), L_m=float(L_m),
-                t_d_s=float(t_d_s), v_g_mps=float(v_g), transmission=float(trans),
-            )
-        )
+        stat, *values = line.split(",")
+        if len(values) != len(SweepRow._fields) - 1:
+            raise ValueError(f"expected {len(SweepRow._fields)} columns in {path}: {line!r}")
+        rows.append(SweepRow(stat, *map(float, values)))
     return rows
 
 
@@ -407,7 +386,8 @@ _TICKS = 6
 
 def _linear_ticks(lo: float, hi: float, step: float = 0.0) -> list[float]:
     # the multiples k * step in [lo, hi], by default of a 1-2-5 step that gives
-    # at most _TICKS intervals; counted, so a step below an ulp of lo still ends
+    # at most _TICKS intervals; counted, so a step below an ulp of lo still ends,
+    # with the slack added after dividing, so hi near the largest float is no inf
     span = hi - lo
     if not step:
         if span <= 0.0:
@@ -415,7 +395,7 @@ def _linear_ticks(lo: float, hi: float, step: float = 0.0) -> list[float]:
         step = 10.0 ** math.floor(math.log10(span / _TICKS))
         step *= next(m for m in (1.0, 2.0, 5.0, 10.0) if span / (step * m) <= _TICKS)
     return [k * step for k in range(math.ceil(lo / step),
-                                    math.floor((hi + 1e-12 * span) / step) + 1)]
+                                    math.floor(hi / step + 1e-12 * span / step) + 1)]
 
 
 def _px(v: float | int) -> str:
@@ -464,7 +444,11 @@ def emit_chart(
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
+        # a unit wide axis, or where a unit is below an ulp of x, the finite
+        # one between x / 2 and x
         x_hi = x_lo + 1.0
+        if x_hi == x_lo:
+            x_lo, x_hi = sorted((x_lo / 2.0, x_lo))
     if y_hi == y_lo:
         y_hi = y_lo * 1.1 if y_lo else 1.0
 
@@ -507,8 +491,9 @@ def emit_chart(
                       _svg_text(_MARGIN_L - 9, py + 4, 12, label, "end")]
     for tick in _linear_ticks(x_lo, x_hi):
         px = x_pix(tick)
-        parts += [_svg_line(px, x_axis_y, px, x_axis_y + 5),
-                  _svg_text(px, x_axis_y + 20, 12, f"{tick:g}", "middle")]
+        if _MARGIN_L - 1 <= px <= _MARGIN_L + plot_w + 1:
+            parts += [_svg_line(px, x_axis_y, px, x_axis_y + 5),
+                      _svg_text(px, x_axis_y + 20, 12, f"{tick:g}", "middle")]
     parts += [_svg_text(mid_x, _CHART_H - 14, 14, x_label, "middle"),
               _svg_text(22, mid_y, 14, y_label, "middle", f"rotate(-90 22 {mid_y})")]
     for index, (name, points) in enumerate(series.items()):

@@ -34,6 +34,7 @@ from .numerics import (
     NumericTolerances,
     fermi_dirac_f,
     find_root,
+    integrate_1d,
     polylog,
     require_finite,
     riemann_zeta,
@@ -347,14 +348,19 @@ class DensityProfile:
 
     def pinhole_column(self, radius: float) -> float:
         """Atoms in the axial cylinder r < radius, int_{r<radius} dA int dz rho,
-        in closed form.  The thermal part is a difference of two order-3
-        functions, which loses about log10(1 / (a radius^2)) digits."""
+        in closed form.  The thermal part is f_3(zeta) - f_3(zeta e^{-a R^2}),
+        a difference that loses about log10(1 / (a R^2)) digits; below
+        a R^2 = _NARROW_AR2 it is the integral of the order-2 function over
+        [0, a R^2] instead, which loses none."""
         eps = self.trap.epsilon
         a = self._vcoef
-        column = (
-            (self._ladder(3.0) - self._ladder(3.0, a * radius * radius))
-            * math.pi**1.5 / (eps * self._lam3 * a**1.5)
-        )
+        v = a * radius * radius
+        if self.T > 0.0 and 0.0 < v < _NARROW_AR2:
+            # d/dv of the order-3 ladder is minus the order-2 one
+            thermal = integrate_1d(lambda u: self._ladder(2.0, u), 0.0, v)
+        else:  # zero at T = 0, where the ladder is
+            thermal = self._ladder(3.0) - self._ladder(3.0, v)
+        column = thermal * math.pi**1.5 / (eps * self._lam3 * a**1.5)
         R_c = self.tf_radius
         if R_c > 0.0:
             p = self._tf_power
@@ -374,6 +380,11 @@ class DensityProfile:
         if R <= 0.0 or r >= R:
             return ()
         return (math.sqrt(R * R - r * r) / self.trap.epsilon,)
+
+
+# a R^2 below which pinhole_column integrates the thermal column instead of
+# differencing it: the difference keeps about 13 digits here
+_NARROW_AR2 = 1e-3
 
 
 def _cap_fraction(u2: float, power: float) -> float:

@@ -22,7 +22,9 @@ Observables, all per unit cloud at temperature T:
 L is closed-form for every statistics and temperature (the profile's axial
 moment, DensityProfile.axial_moment), and so is t_d with the local field
 off, where the excess slowness is linear in rho and only the pinhole column
-(DensityProfile.pinhole_column) enters.  t_d with the local field on and
+(DensityProfile.pinhole_column) enters; for a pinhole far narrower than the
+thermal cloud that column is one short 1-D integral.  t_d with the local
+field on and
 the transmission are nonlinear in rho and stay adaptive quadratures, one
 1-D integral over shells each (_pinhole_integral): in the scaled
 coordinates s = (x, y, eps z) the LDA density depends on |s| alone.

@@ -333,6 +333,13 @@ class TestCsv:
             write_csv([SweepRow(**values), SweepRow(**{**values, field: value})], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("line", ["bose,0.5,1,1,1,0.5,7", "bose,0.5,1,1,1"])
+    def test_read_csv_refuses_a_wrong_column_count(self, tmp_path, line):
+        path = tmp_path / "columns.csv"
+        path.write_text(f"{CSV_HEADER}\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="columns"):
+            read_csv(path)
+
     def test_sweep_csv_round_trip(self, tmp_path):
         cfg = parse_config(TINY_SWEEP)
         rows = run_sweep(cfg)
@@ -380,6 +387,29 @@ class TestChart:
         text = path.read_text()
         assert "transmission" in text
         assert "1e+0" not in text  # linear ticks, not decade labels
+
+    @staticmethod
+    def x_ticks(text: str) -> list[float]:
+        return [float(x) for x in re.findall(r'<line x1="([-0-9.]+)" y1="440" ', text)]
+
+    @pytest.mark.parametrize("x", [1e17, -1e17, sys.float_info.max, -sys.float_info.max])
+    def test_one_point_where_a_unit_is_below_an_ulp(self, tmp_path, x):
+        # x + 1 rounds to x, so a unit wide axis was empty and x_pix divided by 0
+        path = tmp_path / "far.svg"
+        emit_chart([SweepRow("bose", x, 1e-5, 1e-8, 100.0, 0.5)], path, y_field="transmission")
+        text = path.read_text()
+        assert re.search(r'<polyline points="(80|600)\.00,', text)
+        ticks = self.x_ticks(text)
+        assert ticks and all(80.0 <= t <= 600.0 for t in ticks)
+
+    def test_x_ticks_of_an_axis_one_ulp_wide_stay_on_it(self, tmp_path):
+        # the ticks k * step round off the axis here; two were drawn at -180 px
+        rows = [SweepRow("boltzmann", 1.0, 1e-5, 1e-8, 100.0, 0.5),
+                SweepRow("boltzmann", 1.0000000000000002, 1e-5, 1e-8, 120.0, 0.5)]
+        path = tmp_path / "ulp.svg"
+        emit_chart(rows, path, x_label="T / T_c")
+        ticks = self.x_ticks(path.read_text())
+        assert ticks and all(80.0 <= t <= 600.0 for t in ticks)
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -661,6 +691,58 @@ class TestCommandLine:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         assert len((tmp_path / "log.csv").read_text().splitlines()) == 3
+
+
+class TestOutputFiles:
+    # the CSV and SVG are created as open(path, "w") creates a file, 0o666
+    # less the umask, and replace an existing output with that mode too
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        cfg = tmp_path / "tiny.config"
+        cfg.write_text(TINY_SWEEP, encoding="utf-8")
+        csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        csv.write_text("old\n", encoding="utf-8")
+        csv.chmod(0o400 if mode == 0o644 else 0o644)
+        script = (f"import os, sys; os.umask({umask}); from slowlight.cli import main; "
+                  f"sys.exit(main(['run', {str(cfg)!r}, '--out', {str(csv)!r}, "
+                  f"'--chart', {str(svg)!r}]))")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=_child_env(), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert (csv.stat().st_mode & 0o777, svg.stat().st_mode & 0o777) == (mode, mode)
+        assert csv.read_text(encoding="utf-8").startswith(CSV_HEADER)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.svg", "tiny.config"]
+
+
+class TestPresetReference:
+    """Both presets run in process, byte for byte against the CSV and SVG in
+    tests/reference."""
+
+    REFERENCE = Path(__file__).resolve().parent / "reference"
+
+    @staticmethod
+    def column_deviations(got: str, want: str) -> str:
+        """The largest relative deviation of each numeric column."""
+        pairs = [([float(v) for v in g.split(",")[1:]], [float(v) for v in w.split(",")[1:]])
+                 for g, w in zip(got.splitlines()[1:], want.splitlines()[1:])]
+        return ", ".join(
+            f"{name} {max(abs(g[i] - w[i]) / (abs(w[i]) or 1.0) for g, w in pairs):.2e}"
+            for i, name in enumerate(SweepRow._fields[1:]))
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_preset_bytes(self, tmp_path, name, capsys):
+        preset = tmp_path / f"{name}.preset"
+        preset.write_text(preset_text(name), encoding="utf-8")
+        csv, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+        assert main(["run", str(preset), "--out", str(csv), "--chart", str(svg)]) == 0
+        capsys.readouterr()
+        got = csv.read_text(encoding="utf-8")
+        want = (self.REFERENCE / f"{name}.csv").read_text(encoding="utf-8")
+        shape = [(text.partition("\n")[0], text.count("\n")) for text in (got, want)]
+        assert shape[0] == shape[1], f"{name}.csv: header or row count differs"
+        assert got == want, (f"{name}.csv differs; largest relative deviation per column: "
+                             f"{self.column_deviations(got, want)}")
+        assert svg.read_bytes() == (self.REFERENCE / f"{name}.svg").read_bytes()
 
 
 class TestRecords:

@@ -459,6 +459,19 @@ class TestShellIntegral:
         column = _pinhole_integral(lambda rho: rho, prof, pinhole, W, DEFAULT_TOL)
         assert column == pytest.approx(prof.pinhole_column(pinhole), rel=1e-10)
 
+    @pytest.mark.parametrize("stat", list(Statistics))
+    @pytest.mark.parametrize("reduced", [0.5, 1.5])
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-5, 1e-7])
+    def test_narrow_pinhole_column(self, na_cloud, stat, reduced, ratio):
+        # the difference f_3(zeta) - f_3(zeta e^{-a R^2}) alone lost about
+        # log10(1 / (a R^2)) digits: 3.1e-4 off for Fermi at 1.5 T_F, R / W = 1e-7
+        prof = self.profile(na_cloud, stat, reduced)
+        W = prof.trap.epsilon * prof.z_cut
+        R = ratio * W
+        column = _pinhole_integral(lambda rho: rho, prof, R, W,
+                                   NumericTolerances(rel_tol_quadrature=1e-10))
+        assert prof.pinhole_column(R) == pytest.approx(column, rel=1e-10, abs=0.0)
+
 
 def mp_pinhole_mean(F, rho, eps, R, W, s_end, breaks=()):
     """The pinhole mean (1 / pi R^2) int F(rho) dV over r < R, |eps z| < W,
