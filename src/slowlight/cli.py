@@ -68,17 +68,16 @@ class RunConfig(namedtuple("RunConfig", "gas trap probe sweep scales")):
     __slots__ = ()
 
     @property
-    def only_fermi(self) -> bool:
-        return all(s is Statistics.FERMI for s in self.sweep.statistics_list)
+    def temperature_unit_name(self) -> str:
+        """T_F when the sweep runs only the Fermi gas, else T_c."""
+        if all(s is Statistics.FERMI for s in self.sweep.statistics_list):
+            return "T_F"
+        return "T_c"
 
     @property
     def temperature_unit(self) -> float:
         """Kelvin per unit of reduced temperature for this run."""
-        return self.scales.T_F if self.only_fermi else self.scales.T_c
-
-    @property
-    def temperature_unit_name(self) -> str:
-        return "T_F" if self.only_fermi else "T_c"
+        return getattr(self.scales, self.temperature_unit_name)
 
 
 class SweepRow(namedtuple("SweepRow", "statistics x L_m t_d_s v_g_mps transmission")):
@@ -253,19 +252,23 @@ def parse_config(text: str) -> RunConfig:
         if Statistics.BOSE in stats and a_sc == 0.0:
             raise invalid(key, "Bose statistics requires a positive gas.scattering_length")
 
+    omega_r = 2.0 * math.pi * v["trap.frequency_hz"]
     omega_0 = 2.0 * math.pi * C_LIGHT / v["probe.wavelength"]
     gamma = 2.0 * math.pi * v["probe.linewidth_hz"]
+    delta = v["probe.detuning_gamma"] * gamma
+    # a finite value may overflow in SI units, and a detuning underflow; past
+    # this check no constructor below can refuse a value
+    for key, name, si in (("trap.frequency_hz", "omega_r", omega_r),
+                          ("probe.wavelength", "omega_0", omega_0),
+                          ("probe.linewidth_hz", "gamma", gamma),
+                          ("probe.detuning_gamma", "delta", delta)):
+        if not (math.isfinite(si) and si):
+            raise invalid(key, f"must be finite and nonzero in SI units, got {name} = {si}")
     stats_list = v["sweep.statistics"] or (v["gas.statistics"],)
-    try:
-        gas_spec = GasSpec(v["gas.statistics"], v["gas.atom_count"], v["gas.mass"], a_sc)
-        trap = TrapGeometry(omega_r=2.0 * math.pi * v["trap.frequency_hz"],
-                            epsilon=v["trap.epsilon"])
-        probe = ProbeParams(
-            omega_0=omega_0, gamma=gamma, delta=v["probe.detuning_gamma"] * gamma,
-            pinhole_R=v["probe.pinhole_radius"], local_field_on=v["probe.local_field"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    gas_spec = GasSpec(v["gas.statistics"], v["gas.atom_count"], v["gas.mass"], a_sc)
+    trap = TrapGeometry(omega_r=omega_r, epsilon=v["trap.epsilon"])
+    probe = ProbeParams(omega_0=omega_0, gamma=gamma, delta=delta,
+                        pinhole_R=v["probe.pinhole_radius"], local_field_on=v["probe.local_field"])
 
     sweep = SweepSpec(
         axis=axis, start=start, stop=stop, points=v["sweep.points"], scale=v["sweep.scale"],
@@ -278,7 +281,8 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str | os.PathLike) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors save first
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
@@ -484,14 +488,19 @@ def emit_chart(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
+    # a tick is drawn where it lands on its axis, and once per position: on an
+    # axis one ulp wide, several ticks round to each end
+    drawn = set()
     for tick, label in zip(y_ticks, y_tick_labels):
         py = y_pix(tick)
-        if _MARGIN_T - 1 <= py <= x_axis_y + 1:
+        if _MARGIN_T - 1 <= py <= x_axis_y + 1 and ("y", _px(py)) not in drawn:
+            drawn.add(("y", _px(py)))
             parts += [_svg_line(_MARGIN_L - 5, py, _MARGIN_L, py),
                       _svg_text(_MARGIN_L - 9, py + 4, 12, label, "end")]
     for tick in _linear_ticks(x_lo, x_hi):
         px = x_pix(tick)
-        if _MARGIN_L - 1 <= px <= _MARGIN_L + plot_w + 1:
+        if _MARGIN_L - 1 <= px <= _MARGIN_L + plot_w + 1 and ("x", _px(px)) not in drawn:
+            drawn.add(("x", _px(px)))
             parts += [_svg_line(px, x_axis_y, px, x_axis_y + 5),
                       _svg_text(px, x_axis_y + 20, 12, f"{tick:g}", "middle")]
     parts += [_svg_text(mid_x, _CHART_H - 14, 14, x_label, "middle"),

@@ -81,7 +81,7 @@ class GasSpec(namedtuple("GasSpec", "statistics n_atoms mass a_sc")):
     __slots__ = ()
 
     def __new__(cls, statistics: Statistics, n_atoms: float, mass: float, a_sc: float = 0.0):
-        self = tuple.__new__(cls, (statistics, n_atoms, mass, a_sc))
+        self = tuple.__new__(cls, (Statistics(statistics), n_atoms, mass, a_sc))
         require_finite(self, "n_atoms", "mass", "a_sc")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
@@ -140,16 +140,13 @@ def char_scales(spec: GasSpec, trap: TrapGeometry) -> CharScales:
     T_F = E_F / k_B
     T_c = hbar * wbar * (spec.n_atoms / ZETA_3) ** (1.0 / 3.0) / k_B
     R_F = (48.0 * spec.n_atoms * trap.epsilon) ** (1.0 / 6.0) * a_r
+    R_B = eta = mu_TF = 0.0
     if spec.a_sc > 0.0:
         R_B = (15.0 * spec.n_atoms * trap.epsilon * spec.a_sc / a_ho) ** 0.2 * a_r
         eta = 0.5 * ZETA_3 ** (1.0 / 3.0) * (
             15.0 * spec.n_atoms ** (1.0 / 6.0) * spec.a_sc / a_ho
         ) ** 0.4
         mu_TF = eta * k_B * T_c
-    else:
-        R_B = 0.0
-        eta = 0.0
-        mu_TF = 0.0
     return CharScales(
         E_F=E_F, T_F=T_F, T_c=T_c, a_r=a_r, a_ho=a_ho,
         R_F=R_F, R_B=R_B, mu_TF=mu_TF, eta=eta, epsilon=trap.epsilon,
@@ -203,8 +200,8 @@ def condensate_fraction(T: float, scales: CharScales) -> float:
     return max(value, 0.0)
 
 
-def mu_bose(T: float, spec: GasSpec, scales: CharScales) -> ThermoPoint:
-    """Bose-gas thermodynamic point.
+def mu_bose(T: float, scales: CharScales) -> ThermoPoint:
+    """Bose-gas thermodynamic point, from T and the cloud's scales alone.
 
     Above T_c the fugacity solves Li_3(z) = zeta(3) (T_c/T)^3.  At and
     below T_c the condensate fraction follows the interacting fitting
@@ -248,8 +245,7 @@ class DensityProfile:
     (at_radius): the shell quadratures of optics sample it at nodes fixed by
     the pinhole, the window and the panel tree, which repeat at every
     detuning, so the memo stops growing at that node set and lives as long
-    as the profile's make_profile cache entry.  It stays safe to share
-    between threads: two that race on a radius store the same float.
+    as the profile's make_profile cache entry.
     """
 
     def __init__(self, spec: GasSpec, trap: TrapGeometry, T: float) -> None:
@@ -292,7 +288,7 @@ class DensityProfile:
             self._ladder = lambda order, v=0.0: fermi_dirac_f(order, x0 - v)
             self.r_cut = 8.0 * max(s.R_F, sigma_r)
         elif stats is Statistics.BOSE:
-            point = mu_bose(T, spec, s)
+            point = mu_bose(T, s)
             z = point.fugacity
             kappa = 1.0
             if T <= s.T_c:
@@ -304,12 +300,10 @@ class DensityProfile:
                 self.tf_radius = math.sqrt(point.mu / half_M_w2)
             self._ladder = lambda order, v=0.0: kappa * polylog(order, z * math.exp(-v))
             self.r_cut = 8.0 * max(s.R_B, sigma_r)
-        elif stats is Statistics.BOLTZMANN:
+        else:  # Boltzmann
             zmu = math.exp(mu_classical(T, s) * beta)
             self._ladder = lambda order, v=0.0: zmu * math.exp(-v)
             self.r_cut = 8.0 * sigma_r
-        else:  # pragma: no cover
-            raise UnsupportedStatisticsError(str(stats))
         self.z_cut = self.r_cut / trap.epsilon
 
     def at(self, r: float, z: float) -> float:

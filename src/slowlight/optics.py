@@ -64,10 +64,6 @@ class PinholeError(ValueError):
     """Pinhole radius exceeds the cloud radius."""
 
 
-class ZeroDelayError(ValueError):
-    """Delay time vanished where a finite value was required."""
-
-
 class LocalFieldPoleError(ValueError):
     """The Lorentz-Lorenz denominator 1 - (4 pi / 3) alpha rho vanishes
     inside the cloud."""
@@ -335,8 +331,6 @@ def effective_group_velocity(
     prof = _checked_profile(spec, trap, probe, T, tol)
     L = effective_length(spec, trap, T, tol)
     t_d = _delay_of_profile(prof, probe, tol)
-    if t_d < 0.0 or L <= 0.0:
-        raise ZeroDelayError(f"invalid delay/length: t_d={t_d}, L={L}")
     v_g_eff = L / (t_d + L / c_light)
     trans = _transmission_of_profile(prof, probe, L, tol)
     return PropagationResult(L=L, t_d=t_d, v_g_eff=v_g_eff, transmission=trans)

@@ -147,6 +147,35 @@ class TestParseConfig:
             parse_config("\n".join(lines))
         assert err.value.line == len(lines)
 
+    # the last three are finite as written, but not once in SI units
+    @pytest.mark.parametrize("key,value,message", [
+        ("gas.mass", "abc", "cannot parse number"),
+        ("probe.pinhole_radius", "7.5 km", "cannot parse length"),
+        ("gas.mass", "", "empty value"),
+        ("sweep.statistics", ",", "empty statistics list"),
+        ("trap.frequency_hz", "1e308", "finite"),
+        ("probe.wavelength", "1e-320", "finite"),
+        ("probe.detuning_gamma", "1e305", "finite"),
+    ])
+    def test_refusal_names_key_line_and_reason(self, key, value, message):
+        lines = [line for line in TINY_SWEEP.splitlines() if not line.startswith(key + " ")]
+        lines.append(f"{key} = {value}")
+        with pytest.raises(ConfigError, match=rf"^line {len(lines)}: {re.escape(key)}: "
+                                              rf".*{message}"):
+            parse_config("\n".join(lines))
+
+    def test_detuning_that_underflows_in_si_units_names_key_and_line(self):
+        text = TINY_SWEEP.replace("= 10.03e6", "= 1e-300").replace("= 20", "= 1e-30")
+        lineno = text.splitlines().index("probe.detuning_gamma  = 1e-30") + 1
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: probe.detuning_gamma: .*nonzero"):
+            parse_config(text)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.preset"
+        path.write_text("# saved with a byte-order mark\n" + TINY_SWEEP, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf#")
+        assert load_config(path) == parse_config(TINY_SWEEP)
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*gas.flavour"):
             parse_config("\ngas.flavour = up\n")
@@ -340,6 +369,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="columns"):
             read_csv(path)
 
+    def test_read_csv_refuses_a_wrong_header(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text(CSV_HEADER.replace("L_m", "L") + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="header"):
+            read_csv(path)
+
     def test_sweep_csv_round_trip(self, tmp_path):
         cfg = parse_config(TINY_SWEEP)
         rows = run_sweep(cfg)
@@ -410,10 +445,26 @@ class TestChart:
         emit_chart(rows, path, x_label="T / T_c")
         ticks = self.x_ticks(path.read_text())
         assert ticks and all(80.0 <= t <= 600.0 for t in ticks)
+        # and round onto its two ends, where each is drawn once
+        assert len(set(ticks)) == len(ticks)
+
+    def test_y_ticks_of_an_axis_one_ulp_wide_are_drawn_once(self, tmp_path):
+        rows = [SweepRow("bose", 1.0, 1e-5, 1e-8, 100.0, 0.5),
+                SweepRow("bose", 2.0, 1e-5, 1e-8, 120.0, 0.5000000000000001)]
+        path = tmp_path / "ulp.svg"
+        emit_chart(rows, path, y_field="transmission")
+        ticks = re.findall(r'<line x1="75" y1="([-0-9.]+)" ', path.read_text())
+        assert ticks and len(set(ticks)) == len(ticks)
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_chart([], tmp_path / "nope.svg")
+
+    def test_log_axis_refuses_a_speed_not_above_zero(self, tmp_path):
+        path = tmp_path / "zero.svg"
+        with pytest.raises(ValueError, match="positive"):
+            emit_chart([SweepRow("bose", 0.5, 1e-5, 1e-8, 0.0, 0.5)], path)
+        assert not path.exists()
 
     # The whole SVG, pinned: a rewrite of emit_chart must keep every byte.
     # The last two hit the flat-range guards; 1.1 * 5e-324 rounds to 5e-324.
@@ -494,6 +545,14 @@ class TestCommandLine:
         assert not out_csv.exists()
         err = capsys.readouterr().err
         assert key in err and "finite" in err
+
+    def test_output_onto_a_directory_exits_nonzero_leaving_no_temporary(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["run", str(cfg), "--out", str(taken)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert taken.is_dir() and not list(tmp_path.glob("*.tmp"))
 
     def test_dipole_moment_key_refused_before_any_sweep_point(self, tmp_path, capsys):
         bad = tmp_path / "dipole.config"

@@ -141,20 +141,20 @@ class TestChemicalPotentials:
 class TestBoseThermodynamics:
     def test_fugacity_at_transition(self, na_cloud):
         spec, _, s = na_cloud
-        pt = mu_bose(s.T_c, spec, s)
+        pt = mu_bose(s.T_c, s)
         assert pt.fugacity == pytest.approx(1.0, abs=1e-9)
         assert pt.condensate_fraction == pytest.approx(0.0, abs=1e-9)
 
     def test_fugacity_at_twice_transition(self, na_cloud):
         spec, _, s = na_cloud
-        pt = mu_bose(2.0 * s.T_c, spec, s)
+        pt = mu_bose(2.0 * s.T_c, s)
         assert f"{pt.fugacity:.4f}" == "0.1474"
         assert pt.mu == pytest.approx(k_B * 2.0 * s.T_c * math.log(pt.fugacity), rel=1e-12, abs=0.0)
         assert pt.condensate_fraction == 0.0
 
     def test_zero_temperature_point(self, na_cloud):
         spec, _, s = na_cloud
-        pt = mu_bose(0.0, spec, s)
+        pt = mu_bose(0.0, s)
         assert pt.condensate_fraction == 1.0
         assert pt.mu == s.mu_TF
 
@@ -179,7 +179,7 @@ class TestBoseThermodynamics:
 
     def test_below_transition_uses_thomas_fermi_mu(self, na_cloud):
         spec, _, s = na_cloud
-        pt = mu_bose(0.5 * s.T_c, spec, s)
+        pt = mu_bose(0.5 * s.T_c, s)
         assert pt.mu == pytest.approx(s.mu_TF * pt.condensate_fraction**0.4, rel=1e-12, abs=0.0)
         assert pt.fugacity == 1.0  # the saturated thermal cloud
 
@@ -326,7 +326,7 @@ class TestDensityProfiles:
         T = 0.5 * s.T_c
         prof = make_profile(spec, trap, T)
         frac = condensate_fraction(T, s)
-        pt = mu_bose(T, spec, s)
+        pt = mu_bose(T, s)
         inv_U = spec.mass / (4.0 * math.pi * hbar**2 * spec.a_sc)
 
         def thermal_only(r, z):
@@ -464,6 +464,25 @@ class TestValidation:
             GasSpec(Statistics.BOSE, 1e6, MASS_NA, 0.0)
         with pytest.raises(ValueError):
             GasSpec(Statistics.FERMI, 1e6, -1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_statistics_given_as_its_value_is_the_enum(self, na_cloud, t):
+        # a string once stayed a string, so every `is Statistics.X` test missed
+        # it; equal specs share one cache entry, so the string goes first
+        _, trap, s = na_cloud
+        T, z = t * s.T_F, 0.3 * s.R_F / s.epsilon
+        make_profile.cache_clear()
+        by_value = GasSpec("fermi", 3.8e6, MASS_NA)
+        first = density(by_value, trap, T, 0.0, z)
+        make_profile.cache_clear()
+        assert first == density(GasSpec(Statistics.FERMI, 3.8e6, MASS_NA), trap, T, 0.0, z) > 0.0
+        assert by_value.statistics is Statistics.FERMI
+
+    def test_statistics_value_checked(self):
+        with pytest.raises(ValueError, match="positive a_sc"):
+            GasSpec("bose", 1e6, MASS_NA, 0.0)
+        with pytest.raises(ValueError, match="nonsense"):
+            GasSpec("nonsense", 1e6, MASS_NA)
 
     def test_trap_validation(self):
         with pytest.raises(ValueError):
