@@ -257,11 +257,15 @@ def parse_config(text: str) -> RunConfig:
     gamma = 2.0 * math.pi * v["probe.linewidth_hz"]
     delta = v["probe.detuning_gamma"] * gamma
     # a finite value may overflow in SI units, and a detuning underflow; past
-    # this check no constructor below can refuse a value
-    for key, name, si in (("trap.frequency_hz", "omega_r", omega_r),
-                          ("probe.wavelength", "omega_0", omega_0),
-                          ("probe.linewidth_hz", "gamma", gamma),
-                          ("probe.detuning_gamma", "delta", delta)):
+    # this check no constructor below can refuse a value.  A detuning sweep's
+    # grid is monotone, so its endpoints bound the detuning of every point.
+    si_values = [("trap.frequency_hz", "omega_r", omega_r),
+                 ("probe.wavelength", "omega_0", omega_0),
+                 ("probe.linewidth_hz", "gamma", gamma),
+                 ("probe.detuning_gamma", "delta", delta)]
+    if axis == "detuning":
+        si_values += [("sweep.start", "delta", start * gamma), ("sweep.stop", "delta", stop * gamma)]
+    for key, name, si in si_values:
         if not (math.isfinite(si) and si):
             raise invalid(key, f"must be finite and nonzero in SI units, got {name} = {si}")
     stats_list = v["sweep.statistics"] or (v["gas.statistics"],)

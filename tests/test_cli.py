@@ -170,6 +170,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"^line {lineno}: probe.detuning_gamma: .*nonzero"):
             parse_config(text)
 
+    # fig2's detuning grid: an endpoint times gamma overflows, or underflows
+    # once the linewidth is tiny; either is refused before the first point
+    @pytest.mark.parametrize("edits,key", [
+        ({"sweep.stop": "1e305"}, "sweep.stop"),
+        ({"probe.linewidth_hz": "1e-300", "sweep.start": "1e-30"}, "sweep.start"),
+    ], ids=["stop-overflows", "start-underflows"])
+    def test_detuning_endpoint_out_of_range_in_si_units_names_key_and_line(self, edits, key):
+        text = preset_text("fig2")
+        for edit_key, value in edits.items():
+            text = re.sub(rf"^{re.escape(edit_key)} .*$", f"{edit_key} = {value}", text,
+                          flags=re.MULTILINE)
+        lineno = text.splitlines().index(f"{key} = {edits[key]}") + 1
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: {re.escape(key)}: "
+                                              r"must be finite and nonzero in SI units, got delta"):
+            parse_config(text)
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.preset"
         path.write_text("# saved with a byte-order mark\n" + TINY_SWEEP, encoding="utf-8-sig")
