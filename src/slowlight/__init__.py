@@ -26,7 +26,6 @@ from .gas import (
     make_profile,
     mu_bose,
     mu_classical,
-    mu_fermi,
     solve_mu_fermi,
     thermal_wavelength,
 )

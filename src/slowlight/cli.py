@@ -278,18 +278,29 @@ def parse_config(text: str) -> RunConfig:
         axis=axis, start=start, stop=stop, points=v["sweep.points"], scale=v["sweep.scale"],
         statistics_list=stats_list, temperature=v["sweep.temperature"],
     )
-    return RunConfig(
+    config = RunConfig(
         gas=gas_spec, trap=trap, probe=probe, sweep=sweep, scales=char_scales(gas_spec, trap),
     )
+    # The normalizations take (T/T_F)^3 and (T/T_c)^3 or their inverses, which
+    # leave the float range long before T does (where ** raises OverflowError).
+    # The grid is monotone, so a temperature sweep's endpoints bound it.
+    for key in ("sweep.start", "sweep.stop") if axis == "temperature" else ("sweep.temperature",):
+        for name in ("T_F", "T_c"):
+            t = v[key] * config.temperature_unit / getattr(config.scales, name)
+            cube = t * t * t
+            if not (math.isfinite(cube) and cube and math.isfinite(1.0 / cube)):
+                raise invalid(key, f"(T/{name})^3 and its inverse must be finite and nonzero, "
+                                   f"got (T/{name})^3 = {cube}")
+    return config
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
     try:
-        # utf-8-sig drops the byte-order mark some editors save first
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    # the byte-order mark some editors save first, without the utf-8-sig codec
+    return parse_config(text.removeprefix("\ufeff"))
 
 
 def preset_text(name: str) -> str:

@@ -153,18 +153,6 @@ def char_scales(spec: GasSpec, trap: TrapGeometry) -> CharScales:
     )
 
 
-def mu_fermi(T: float, scales: CharScales) -> float:
-    """Piecewise Fermi chemical potential: Sommerfeld branch below 0.55 T_F,
-    classical branch above.  The two branches do not match exactly at the
-    seam; the small jump is documented by a test rather than smoothed."""
-    if T <= 0.0:
-        raise ValueError("mu_fermi requires T > 0")
-    t = T / scales.T_F
-    if t > 0.55:
-        return mu_classical(T, scales)
-    return scales.E_F * (1.0 - math.pi**2 * t * t / 3.0)
-
-
 def mu_classical(T: float, scales: CharScales) -> float:
     """Boltzmann-gas chemical potential; normalizes the Gaussian cloud exactly."""
     if T <= 0.0:
@@ -173,17 +161,16 @@ def mu_classical(T: float, scales: CharScales) -> float:
 
 
 def solve_mu_fermi(T: float, scales: CharScales) -> float:
-    """Fermi chemical potential fixed by N = int rho dV, i.e. the root of
-    f_3(e^{beta mu}) = (T_F/T)^3 / 6.  This is the mu the density uses;
-    mu_fermi gives the closed-form limiting branches."""
+    """Fermi chemical potential fixed by N = int rho dV: x = beta mu solves
+    f_3(e^x) = (T_F/T)^3 / 6.  Brent's bracket, each end padded by 1 against
+    rounding: the Boltzmann value ln((T_F/T)^3 / 6) below, as f_3(y) < y, and
+    T_F/T above, as f_3(e^x) = x^3/6 + pi^2 x/6 + f_3(e^-x) > x^3/6 for x > 0."""
     if T <= 0.0:
         raise ValueError("solve_mu_fermi requires T > 0")
     beta = 1.0 / (k_B * T)
-    target = (scales.T_F / T) ** 3 / 6.0
-    guesses = (mu_fermi(T, scales) * beta, mu_classical(T, scales) * beta)
-    lo = min(guesses) - 10.0
-    hi = max(guesses) + 10.0
-    x = find_root(lambda u: fermi_dirac_f(3.0, u) - target, lo, hi)
+    t_inv = scales.T_F / T
+    target = t_inv**3 / 6.0
+    x = find_root(lambda u: fermi_dirac_f(3.0, u) - target, math.log(target) - 1.0, t_inv + 1.0)
     return x / beta
 
 

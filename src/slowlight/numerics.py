@@ -6,10 +6,10 @@ f_nu(e^x) = -Li_nu(-e^x) on the Fermi side.  Everything here is scalar,
 pure, and deterministic; the optics integrals call these inside adaptive
 quadrature, so the special functions are kept cheap.
 
-Evaluation strategy for Li_s:
+Evaluation strategy for Li_s on -series_cutoff <= z <= 1 (further along the
+negative axis Li_s(z) = -f_s(e^x), x = ln(-z), is the Fermi-Dirac function's):
   * |z| <= series_cutoff          direct power series
   * series_cutoff < z <= 1        expansion in ln z about the z=1 point
-  * z < -series_cutoff            -f_s(-z), the Fermi-Dirac function below
 and for f_nu(e^x):
   * x <= ln(series_cutoff)        alternating power series, any order
   * integer nu >= 1 beyond it     exact reflection and the square formula
@@ -275,23 +275,22 @@ def _fd_sommerfeld(nu: float, x: float) -> float:
 
 
 def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
-    """Li_s(z) = sum_{j>=1} z^j / j^s for real s and real z <= 1."""
-    if z > 1.0:
-        raise DomainError(f"polylog requires z <= 1, got z={z}")
+    """Li_s(z) = sum_{j>=1} z^j / j^s for real s and -series_cutoff <= z <= 1;
+    further along the negative axis Li_s(z) = -fermi_dirac_f(s, ln(-z))."""
+    if not -tol.series_cutoff <= z <= 1.0:
+        raise DomainError(f"polylog takes -{tol.series_cutoff} <= z <= 1, got z={z}; "
+                          "below, Li_s(z) is -fermi_dirac_f(s, ln(-z))")
     if z == 0.0:
         return 0.0
     if s == 1.0:
         if z == 1.0:
             raise DomainError("Li_1 diverges at z = 1")
         return -math.log1p(-z)
-    if abs(z) <= tol.series_cutoff:
+    if z <= tol.series_cutoff:
         return _polylog_series(s, z)
-    if z > 0.0:
-        if s <= 1.0:
-            raise DomainError(f"polylog near z=1 requires s > 1, got s={s}")
-        return _polylog_near_one(s, z)
-    # negative argument beyond the series region: the Fermi-Dirac function
-    return -fermi_dirac_f(s, math.log(-z), tol)
+    if s <= 1.0:
+        raise DomainError(f"polylog near z=1 requires s > 1, got s={s}")
+    return _polylog_near_one(s, z)
 
 
 def _fd_integer(n: int, x: float) -> float:
@@ -320,8 +319,8 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
     Inside the series region, x <= ln(series_cutoff), every order works.
     Beyond it only the orders the LDA cloud uses are served: nu = 3/2 (the
     density) and the integers nu >= 1 (columns, moments and the mu roots);
-    any other order is a DomainError.  polylog(s, z) for z < -series_cutoff
-    comes here and keeps the same rule.
+    any other order is a DomainError.  This is also Li_nu(z) for
+    z < -series_cutoff, which polylog refuses.
     """
     if x <= math.log(tol.series_cutoff):
         return -_polylog_series(nu, -math.exp(x))

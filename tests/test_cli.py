@@ -186,6 +186,29 @@ class TestParseConfig:
                                               r"must be finite and nonzero in SI units, got delta"):
             parse_config(text)
 
+    @pytest.mark.parametrize("preset,key,value,cube", [
+        ("fig1", "sweep.stop", "1e300", "inf"),
+        ("fig1", "sweep.start", "1e-200", "0.0"),
+        ("fig2", "sweep.temperature", "1e300", "inf"),  # a detuning sweep's one T
+    ])
+    def test_temperature_out_of_range_exits_before_any_point(
+            self, tmp_path, capsys, preset, key, value, cube):
+        # the unit is 3.4e-7 K, so T = x * unit is finite for every float x;
+        # the cube (T/T_F)^3 of the normalization is not, and without the
+        # check the sweep fails with a bare OverflowError at the first point
+        # past the float range
+        text = re.sub(rf"^{re.escape(key)} .*$", f"{key} = {value}", preset_text(preset),
+                      flags=re.MULTILINE)
+        lineno = text.splitlines().index(f"{key} = {value}") + 1
+        path, out_csv = tmp_path / "range.preset", tmp_path / "out.csv"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(out_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: line {lineno}: {key}: (T/T_F)^3 and its inverse must be "
+                                f"finite and nonzero, got (T/T_F)^3 = {cube}\n")
+        assert captured.out == ""  # not even the scales
+        assert not out_csv.exists()
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.preset"
         path.write_text("# saved with a byte-order mark\n" + TINY_SWEEP, encoding="utf-8-sig")

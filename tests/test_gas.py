@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 from scipy.constants import hbar, k as k_B
 from scipy.integrate import quad
 
+from slowlight import gas
 from slowlight.gas import (
     DensityProfile,
     GasSpec,
@@ -21,11 +23,10 @@ from slowlight.gas import (
     make_profile,
     mu_bose,
     mu_classical,
-    mu_fermi,
     solve_mu_fermi,
     thermal_wavelength,
 )
-from slowlight.numerics import NumericTolerances, integrate_cylindrical
+from slowlight.numerics import NumericTolerances, find_root, integrate_cylindrical
 
 MASS_NA = 3.81754e-26  # kg, sodium-23
 
@@ -94,18 +95,25 @@ class TestCharScales:
 class TestChemicalPotentials:
     def test_fermi_low_temperature_limit(self, na_cloud):
         _, _, s = na_cloud
-        assert mu_fermi(1e-4 * s.T_F, s) == pytest.approx(s.E_F, rel=1e-6, abs=0.0)
+        assert solve_mu_fermi(1e-4 * s.T_F, s) == pytest.approx(s.E_F, rel=1e-6, abs=0.0)
 
     def test_fermi_at_fermi_temperature(self, na_cloud):
+        # beta mu is mpmath's root of f_3(e^x) = 1/6
         _, _, s = na_cloud
-        assert mu_fermi(s.T_F, s) == pytest.approx(-k_B * s.T_F * math.log(6.0), rel=1e-12, abs=0.0)
+        with mp.workdps(30):
+            x = mp.findroot(lambda u: -mp.polylog(3, -mp.exp(u)) - mp.mpf(1) / 6, -1.7)
+        got = solve_mu_fermi(s.T_F, s) / (k_B * s.T_F)
+        assert got == pytest.approx(float(x), rel=2e-12, abs=0.0)
 
     def test_fermi_sommerfeld_branch_value(self, na_cloud):
+        # f_3(e^x) = x^3/6 + pi^2 x/6 + f_3(e^-x); at 0.05 T_F the last term is
+        # 2e-12 of the rest, so beta mu is the real root of x^3 + pi^2 x = (T_F/T)^3
         _, _, s = na_cloud
-        assert mu_fermi(0.3 * s.T_F, s) == pytest.approx(
-            s.E_F * (1.0 - math.pi**2 * 0.09 / 3.0), rel=1e-12, abs=0.0
-        )
-        assert mu_fermi(0.3 * s.T_F, s) / s.E_F == pytest.approx(0.7039, abs=1e-4)
+        q, p = 0.05**-3, math.pi**2
+        root = math.sqrt(q * q / 4.0 + p**3 / 27.0)
+        x = (q / 2.0 + root) ** (1.0 / 3.0) - (root - q / 2.0) ** (1.0 / 3.0)
+        got = solve_mu_fermi(0.05 * s.T_F, s) / (k_B * 0.05 * s.T_F)
+        assert got == pytest.approx(x, rel=3e-12, abs=0.0)
 
     def test_classical_zero_crossing(self, na_cloud):
         _, _, s = na_cloud
@@ -113,29 +121,59 @@ class TestChemicalPotentials:
         assert abs(mu_classical(T0, s)) < 1e-12 * k_B * s.T_F
 
     def test_classical_matches_fermi_high_branch(self, na_cloud):
+        # f_3(z) = z - z^2/8 + O(z^3): above T_F, beta mu = ln z exceeds the
+        # Boltzmann value ln z_cl, z_cl = (T_F/T)^3 / 6, by z_cl/8 + O(z_cl^2)
         _, _, s = na_cloud
-        for t in (0.6, 1.0, 2.5):
-            assert mu_classical(t * s.T_F, s) == mu_fermi(t * s.T_F, s)
+        for t in (2.5, 5.0, 10.0):
+            T = t * s.T_F
+            z_cl = 1.0 / (6.0 * t**3)
+            gap = (solve_mu_fermi(T, s) - mu_classical(T, s)) / (k_B * T)
+            assert gap == pytest.approx(z_cl / 8.0, rel=z_cl, abs=0.0)
 
-    def test_piecewise_seam_jump_is_bounded(self, na_cloud):
-        # the two closed-form branches do not match exactly at 0.55 T_F
+    def test_no_jump_where_the_limiting_formulas_meet(self, na_cloud):
+        # the Sommerfeld and classical formulas differ by more than 1e-3 E_F
+        # at 0.55 T_F; the normalization root is continuous there
         _, _, s = na_cloud
         T = 0.55 * s.T_F
         low = s.E_F * (1.0 - math.pi**2 * 0.55**2 / 3.0)
         high = -k_B * T * math.log(6.0 * 0.55**3)
-        jump = abs(low - high)
-        seam = abs(mu_fermi(T, s) - mu_fermi(T * (1 + 1e-13), s))
-        assert jump == pytest.approx(seam, rel=1e-3, abs=0.0)
-        assert jump < 5e-3 * s.E_F
+        assert abs(low - high) > 1e-3 * s.E_F
+        jump = abs(solve_mu_fermi(T, s) - solve_mu_fermi(T * (1 + 1e-13), s))
+        assert jump < 1e-11 * s.E_F
 
     def test_normalization_solved_mu_matches_branches_in_their_limits(self, na_cloud):
+        # the Sommerfeld value E_F (1 - pi^2 t^2 / 3) and the Boltzmann one
+        # -k_B T ln(6 t^3), t = T/T_F
         _, _, s = na_cloud
         assert solve_mu_fermi(0.05 * s.T_F, s) == pytest.approx(
-            mu_fermi(0.05 * s.T_F, s), rel=2e-3, abs=0.0
+            s.E_F * (1.0 - math.pi**2 * 0.05**2 / 3.0), rel=2e-3, abs=0.0
         )
         assert solve_mu_fermi(4.0 * s.T_F, s) == pytest.approx(
-            mu_fermi(4.0 * s.T_F, s), rel=2e-3, abs=0.0
+            -k_B * 4.0 * s.T_F * math.log(6.0 * 4.0**3), rel=2e-3, abs=0.0
         )
+
+    def test_root_bracket_straddles_the_root(self, na_cloud, monkeypatch):
+        # solve_mu_fermi brackets f_3(e^x) - (T_F/T)^3 / 6 with closed-form
+        # bounds at 201 log-spaced T/T_F in [1e-3, 1e2]; every 20th root is
+        # checked against mpmath's
+        _, _, s = na_cloud
+        ends = []
+
+        def spy(f, lo, hi):
+            ends.append((f(lo), f(hi)))
+            return find_root(f, lo, hi)
+
+        monkeypatch.setattr(gas, "find_root", spy)
+        for i in range(201):
+            T = 10.0 ** (-3.0 + 5.0 * i / 200) * s.T_F
+            x = solve_mu_fermi(T, s) / (k_B * T)
+            assert ends[-1][0] < 0.0 < ends[-1][1], T / s.T_F
+            if i % 20 == 0:
+                target = (s.T_F / T) ** 3 / 6.0
+                with mp.workdps(30):
+                    root = mp.findroot(lambda u: -mp.polylog(3, -mp.exp(u)) - target, x)
+                assert x == pytest.approx(float(root), rel=2e-12, abs=0.0), T / s.T_F
+        assert len(ends) == 201
 
 
 class TestBoseThermodynamics:

@@ -47,9 +47,21 @@ def mp_polylog(s: float, z: float) -> float:
 
 
 def served_beyond_series(order: float) -> bool:
-    """The domain rule of fermi_dirac_f past its series region, and so of
-    polylog(s, z < -1/2): order 3/2, the density's, and the integers >= 1."""
+    """The domain rule of fermi_dirac_f past its series region: order 3/2,
+    the density's, and the integers >= 1."""
     return order == 1.5 or (order == round(order) and order >= 1)
+
+
+def check_negative_axis(s: float, z: float) -> None:
+    """polylog refuses z < -1/2 and names fermi_dirac_f, which gives
+    Li_s(z) = -f_s(e^x), x = ln(-z), there under its own domain rule."""
+    with pytest.raises(DomainError, match=r"-fermi_dirac_f\(s, ln\(-z\)\)"):
+        polylog(s, z)
+    if not served_beyond_series(s):
+        with pytest.raises(DomainError, match=f"got nu={s}"):
+            fermi_dirac_f(s, math.log(-z))
+        return
+    assert -fermi_dirac_f(s, math.log(-z)) == pytest.approx(mp_polylog(s, z), rel=1e-10, abs=0.0)
 
 
 class TestPolylog:
@@ -71,17 +83,22 @@ class TestPolylog:
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("z", [-1.0, -0.9, -0.6, -0.3, 0.05, 0.3, 0.49, 0.51, 0.7, 0.9, 0.99, 1.0])
     def test_against_mpmath(self, s, z):
-        # past the series region the negative axis is fermi_dirac_f's, with its domain rule
-        if z < -DEFAULT_TOL.series_cutoff and not served_beyond_series(s):
-            with pytest.raises(DomainError, match=f"got nu={s}"):
-                polylog(s, z)
+        if z < -DEFAULT_TOL.series_cutoff:
+            check_negative_axis(s, z)
             return
         assert polylog(s, z) == pytest.approx(mp_polylog(s, z), rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("z", [-40.0, -5.0, -1.5])
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_large_negative_arguments(self, s, z):
-        assert polylog(s, z) == pytest.approx(mp_polylog(s, z), rel=1e-10)
+        check_negative_axis(s, z)
+
+    def test_domain_ends(self):
+        cutoff = DEFAULT_TOL.series_cutoff
+        assert polylog(1.5, -cutoff) == pytest.approx(mp_polylog(1.5, -cutoff), rel=1e-14, abs=0.0)
+        for z in (math.nextafter(-cutoff, -1.0), math.nan):
+            with pytest.raises(DomainError, match="polylog takes"):
+                polylog(1.5, z)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

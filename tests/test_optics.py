@@ -1,9 +1,11 @@
 """Susceptibility, group velocity, delay, transmission, and zero-T forms."""
 
+import importlib.util
 import math
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -547,20 +549,107 @@ class TestZeroTemperatureMpmathOracle:
         assert math.log(got.transmission) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0)
 
 
-class TestThermalMpmathOracle:
-    """The local-field t_d and ln(transmission) of T > 0 clouds against mpmath,
-    one temperature below and one above T_c per statistics.
+def mp_fd_three_halves_core(x_top):
+    """f_{3/2}(e^x) = -Li_{3/2}(-e^x) on -ln 2 <= x <= x_top, where
+    mpmath.polylog costs 30-120 ms a call, as the Taylor series about
+    c = x_top / 2.  Its coefficients f_{3/2-m}(e^c) / m! are the eta series
+    sum_j eta(3/2 - m - j) c^j / j! (radius pi), and the series in x - c has
+    radius (c^2 + pi^2)^(1/2), the distance to the poles of f at x = +-i pi.
+    The sums cancel by up to 25 digits, which the guard digits absorb.  The
+    eta series needs c < pi, so x_top < 2 pi."""
+    assert x_top < 2 * mp.pi, x_top
+    digits = mp.mp.dps - 1
+    with mp.workdps(mp.mp.dps + 25):
+        c, tiny = mp.mpf(x_top) / 2, mp.mpf(10) ** -digits
+        reach = c + mp.ln2  # the farthest x from c
+        eta = []
+        coeffs = []
+        while len(coeffs) < 3 or abs(coeffs[-1]) * reach ** (len(coeffs) - 1) > tiny * coeffs[0]:
+            m, acc, j, c_j = len(coeffs), 0, 0, mp.mpf(1)
+            while True:
+                while len(eta) <= m + j:
+                    eta.append(mp.altzeta(mp.mpf(1.5) - len(eta)))
+                term = eta[m + j] * c_j
+                acc += term
+                if j > 5 and abs(term) < tiny * abs(acc):
+                    break
+                j += 1
+                c_j *= c / j
+            coeffs.append(acc / mp.factorial(m))
+    coeffs = [+d for d in reversed(coeffs)]
+    return lambda x: mp.polyval(coeffs, x - c)
+
+
+def mp_thermal_cloud(stat, n_atoms, a_sc, trap, T):
+    """(rho, L, s_end, R_c) of a T > 0 cloud of sodium atoms in mpmath,
+    independent of the program.
 
     The density is the thermal ladder rho = f(a s^2) / lambda_T^3 of the
     scaled radius s, a = M omega_r^2 / 2 k_B T, plus the Thomas-Fermi
-    condensate (mu - V)/U for Bose below T_c.  The scales, the chemical
-    potential or fugacity (solved from the normalization with mp.findroot)
-    and L = [(1/N) int z^2 rho dV]^(1/2) are computed here, not taken from
-    the program.  f is the fugacity times e^-v for Boltzmann and otherwise
+    condensate (mu - V)/U for Bose below T_c, which ends at R_c (0 without
+    one).  The scales, the chemical potential or fugacity (solved from the
+    normalization with mp.findroot) and L = [(1/N) int z^2 rho dV]^(1/2) are
+    computed here.  f is the fugacity times e^-v for Boltzmann and otherwise
     mpmath.polylog of order 3/2, except in the core of the Fermi cloud,
-    where -Li_{3/2}(-e^x) with x > -ln 2 costs mpmath.polylog about 40 ms a
-    call and is summed as sum_k eta(3/2 - k) x^k / k! (radius pi).  The t_d window is unbounded: the program cuts at r_cut,
-    where the density is below e^-32 of its peak, and the oracle at
+    x > -ln 2, where it is mp_fd_three_halves_core.  rho is below e^-60 of
+    its peak beyond s_end."""
+    N, M = mp.mpf(n_atoms), mp.mpf(MASS_NA)
+    eps, omega_r, kT = mp.mpf(trap.epsilon), mp.mpf(trap.omega_r), k_B * mp.mpf(T)
+    wbar = eps ** (mp.mpf(1) / 3) * omega_r
+    t = kT / (hbar * wbar * mp.cbrt(N / mp.zeta(3)))  # T / T_c
+    a = M * omega_r**2 / (2 * kT)
+    lam3 = (h / mp.sqrt(2 * mp.pi * M * kT)) ** 3
+    # N = int rho dV = (k_B T / hbar wbar)^3 f_3(zeta) for every ladder
+    target = N * (hbar * wbar / kT) ** 3
+    x_top, R_c, amp, kappa = mp.mpf(0), mp.mpf(0), 0, 1
+    if stat is Statistics.FERMI:
+        x_top = mp.findroot(lambda x: -mp.polylog(3, -mp.exp(x)) - target, mp.cbrt(6 * target))
+        core = mp_fd_three_halves_core(x_top) if x_top > -mp.ln2 else None
+
+        def ladder(v):
+            x = x_top - v
+            return -mp.polylog(1.5, -mp.exp(x)) if x <= -mp.ln2 else core(x)
+    elif stat is Statistics.BOLTZMANN:
+        def ladder(v):
+            return target * mp.exp(-v)
+    else:
+        fugacity = 1
+        if t > 1:
+            fugacity = mp.findroot(lambda u: mp.polylog(3, u) - target, 0.3)
+        else:
+            # the interacting condensate fraction and mu = mu_TF (N_0/N)^(2/5)
+            a_ho = mp.sqrt(hbar / (M * wbar))
+            eta = mp.cbrt(mp.zeta(3)) / 2 * (15 * mp.root(N, 6) * a_sc / a_ho) ** 0.4
+            frac = 1 - t**3 - eta * mp.zeta(2) / mp.zeta(3) * t**2 * (1 - t**3) ** 0.4
+            mu = eta * kT / t * frac**0.4
+            kappa = (1 - frac) / t**3
+            R_c = mp.sqrt(2 * mu / (M * omega_r**2))
+            amp = M**2 * omega_r**2 / (8 * mp.pi * hbar**2 * a_sc)
+
+        def ladder(v):
+            return kappa * mp.re(mp.polylog(1.5, fugacity * mp.exp(-v)))
+
+    # observables at other detunings integrate over the same nodes
+    memo = {}
+
+    def rho(s):
+        n = memo.get(s)
+        if n is None:
+            n = memo[s] = ladder(a * s * s) / lam3
+        return n + amp * (R_c**2 - s * s) if s < R_c else n
+
+    s_end = mp.sqrt((60 + max(x_top, 0)) / a)
+    rho_0 = rho(mp.mpf(0))
+    L = mp.sqrt(4 * mp.pi * s_end**5 * rho_0 / (3 * eps**3 * N) * mp.quad(
+        lambda y: y**4 * rho(s_end * y) / rho_0, [0, R_c / s_end, 1]))
+    return rho, L, s_end, R_c
+
+
+class TestThermalMpmathOracle:
+    """The local-field t_d and ln(transmission) of T > 0 clouds against mpmath
+    (mp_thermal_cloud and mp_observables), one temperature below and one
+    above T_c per statistics.  The t_d window is unbounded: the program cuts
+    at r_cut, where the density is below e^-32 of its peak, and the oracle at
     e^-60."""
 
     @pytest.mark.parametrize("stat,n_atoms,reduced,delta_gamma,pinhole", [
@@ -578,57 +667,104 @@ class TestThermalMpmathOracle:
         got = effective_group_velocity(gspec, trap, na_probe(delta_gamma, pinhole), T)
 
         with mp.workdps(20):
-            N, M, t = mp.mpf(n_atoms), mp.mpf(spec.mass), mp.mpf(reduced)
-            eps, omega_r, kT = mp.mpf(trap.epsilon), mp.mpf(trap.omega_r), k_B * mp.mpf(T)
-            wbar = eps ** (mp.mpf(1) / 3) * omega_r
-            a = M * omega_r**2 / (2 * kT)
-            lam3 = (h / mp.sqrt(2 * mp.pi * M * kT)) ** 3
-            # N = int rho dV = (k_B T / hbar wbar)^3 f_3(zeta) for every ladder
-            target = N * (hbar * wbar / kT) ** 3
-            x_top, R_c, amp, kappa = mp.mpf(0), mp.mpf(0), 0, 1
-            if stat is Statistics.FERMI:
-                x_top = mp.findroot(lambda x: -mp.polylog(3, -mp.exp(x)) - target, 1)
-                assert x_top < 2  # the eta series below converges as (x / pi)^k
-                eta_terms = [mp.altzeta(mp.mpf(1.5) - k) / mp.factorial(k) for k in range(120)]
-
-                def ladder(v):
-                    x = x_top - v
-                    if x <= -mp.ln2:
-                        return -mp.polylog(1.5, -mp.exp(x))
-                    return mp.fsum(c * x**k for k, c in enumerate(eta_terms))
-            elif stat is Statistics.BOLTZMANN:
-                def ladder(v):
-                    return target * mp.exp(-v)
-            else:
-                fugacity = 1
-                if reduced > 1:
-                    fugacity = mp.findroot(lambda u: mp.polylog(3, u) - target, 0.3)
-                else:
-                    # the interacting condensate fraction and mu = mu_TF (N_0/N)^(2/5)
-                    a_ho = mp.sqrt(hbar / (M * wbar))
-                    eta = mp.cbrt(mp.zeta(3)) / 2 * (15 * mp.root(N, 6) * spec.a_sc / a_ho) ** 0.4
-                    frac = 1 - t**3 - eta * mp.zeta(2) / mp.zeta(3) * t**2 * (1 - t**3) ** 0.4
-                    mu = eta * kT / t * frac**0.4
-                    kappa = (1 - frac) / t**3
-                    R_c = mp.sqrt(2 * mu / (M * omega_r**2))
-                    amp = M**2 * omega_r**2 / (8 * mp.pi * hbar**2 * spec.a_sc)
-
-                def ladder(v):
-                    return kappa * mp.re(mp.polylog(1.5, fugacity * mp.exp(-v)))
-
-            def rho(s):
-                n = ladder(a * s * s) / lam3
-                return n + amp * (R_c**2 - s * s) if s < R_c else n
-
-            # the thermal density is below e^-60 of its peak beyond s_end
-            s_end = mp.sqrt((60 + max(x_top, 0)) / a)
-            rho_0 = rho(mp.mpf(0))
-            L = mp.sqrt(4 * mp.pi * s_end**5 * rho_0 / (3 * eps**3 * N) * mp.quad(
-                lambda y: y**4 * rho(s_end * y) / rho_0, [0, R_c / s_end, 1]))
-            t_d, ln_T = mp_observables(rho, eps, L, delta_gamma, pinhole, s_end, (R_c,))
+            rho, L, s_end, R_c = mp_thermal_cloud(stat, n_atoms, spec.a_sc, trap, T)
+            t_d, ln_T = mp_observables(rho, mp.mpf(trap.epsilon), L, delta_gamma, pinhole,
+                                       s_end, (R_c,))
         assert got.L == pytest.approx(float(L), rel=1e-9, abs=0.0)
         assert got.t_d == pytest.approx(float(t_d), rel=1e-9, abs=0.0)
         assert math.log(got.transmission) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0)
+
+
+def benchmark_workload(name):
+    """The benchmark's seed-0 workload and its checked-in CSV rows.
+
+    perfbench/workloads.py is loaded from its file under a name of its own;
+    the test reads it and perfbench/reference/ and writes nothing there."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:
+        loader = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                        bench / "workloads.py")
+        module = importlib.util.module_from_spec(loader)
+        sys.modules[loader.name] = module  # dataclass reads its own module
+        loader.loader.exec_module(module)
+    wl = module.make_workload(name, 0)
+    # the cloud and probe the oracles below take, as the run reads them
+    config = wl.config_text().splitlines()
+    for line in (f"gas.atom_count = {3.8e6!r}", f"gas.mass = {MASS_NA!r}",
+                 "gas.scattering_length = 2.75 nm", f"trap.frequency_hz = {69.0!r}",
+                 "trap.epsilon = 1/3", "probe.wavelength = 589 nm",
+                 "probe.linewidth_hz = 10.03e6", "probe.detuning_gamma = 10",
+                 "probe.pinhole_radius = 7.5 um"):
+        assert line in config, line
+    lines = (bench / "reference" / f"{name}.csv").read_text().splitlines()
+    assert lines[0] == module.CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], i % wl.points) for i, r in enumerate(rows)] == wl.keys()
+    xs = wl.grid() * len(wl.statistics)
+    for row, x in zip(rows, xs):  # x is printed to 12 digits
+        assert float(row[1]) == pytest.approx(x, rel=1e-11, abs=0.0)
+    return wl, [(r[0], x, *map(float, r[2:])) for r, x in zip(rows, xs)]
+
+
+class TestBenchmarkReferenceOracle:
+    """The rows in perfbench/reference/, rebuilt from the seed-0 workloads of
+    perfbench/workloads.py, against mpmath: the program wrote them, so they
+    hold it to the oracles of this file, not only to itself."""
+
+    def test_dsweep_rows(self):
+        # the local field is on: t_d and ln(transmission) from mp_observables
+        # on the densities of mp_thermal_cloud, the first and last detuning
+        # of each statistics; L at every row.  At 15 digits the oracle is
+        # within 1e-15 of its 20-digit values and takes half the time.
+        wl, rows = benchmark_workload("dsweep")
+        trap = TrapGeometry(2.0 * math.pi * 69.0, 1.0 / 3.0)
+        for stat in wl.statistics:
+            mine = [r for r in rows if r[0] == stat]
+            with mp.workdps(15):
+                rho, L, s_end, R_c = mp_thermal_cloud(
+                    Statistics(stat), 3.8e6, 2.75e-9, trap, wl.kelvin(mine[0][1]))
+                expected = [mp_observables(rho, mp.mpf(trap.epsilon), L, row[1], 7.5e-6, s_end,
+                                           (R_c,)) for row in (mine[0], mine[-1])]
+            for _, _, L_m, _, _, _ in mine:
+                assert L_m == pytest.approx(float(L), rel=1e-9, abs=0.0), stat
+            for row, (t_d, ln_T) in zip((mine[0], mine[-1]), expected):
+                assert row[3] == pytest.approx(float(t_d), rel=1e-9, abs=0.0), (stat, row[1])
+                assert math.log(row[5]) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0), (
+                    stat, row[1])
+
+    def test_fermi_cold_rows(self):
+        # the local field is off, so t_d is K times the pinhole column over
+        # pi R^2, and both observables are closed forms in f_n(zeta) =
+        # -Li_n(-zeta): with a = M omega_r^2 / 2 k_B T,
+        #   L^2 = f_4(zeta) / (2 a eps^2 f_3(zeta)),
+        #   column = (pi/a)^(3/2) [f_3(zeta) - f_3(zeta e^{-a R^2})] / (eps lambda_T^3),
+        # and ln zeta = mp.findroot of N = (k_B T / hbar wbar)^3 f_3(zeta)
+        wl, rows = benchmark_workload("fermi_cold")
+        assert len(rows) == 6 and not wl.local_field
+        with mp.workdps(30):
+            N, M, R = mp.mpf(3.8e6), mp.mpf(MASS_NA), mp.mpf(7.5e-6)
+            eps, omega_r = mp.mpf(1) / 3, 2 * mp.pi * 69
+            wbar = mp.cbrt(eps) * omega_r
+            c, omega_0, gamma = mp.mpf(c_light), 2 * mp.pi * c_light / mp.mpf(LAMBDA_0), mp.mpf(GAMMA)
+            delta = 10 * gamma
+            alpha = 3 * gamma / (4 * (omega_0 / c) ** 3 * delta)
+            K = 2 * mp.pi * omega_0 * alpha / (delta * c)
+
+            def f(n, x):
+                return -mp.polylog(n, -mp.exp(x))
+
+            for _, x, L_m, t_d, _, _ in rows:
+                kT = k_B * mp.mpf(wl.kelvin(x))
+                target = N * (hbar * wbar / kT) ** 3
+                x_top = mp.findroot(lambda u: f(3, u) - target, mp.cbrt(6 * target))
+                a = M * omega_r**2 / (2 * kT)
+                lam3 = (h / mp.sqrt(2 * mp.pi * M * kT)) ** 3
+                L = mp.sqrt(f(4, x_top) / (2 * a * eps**2 * f(3, x_top)))
+                column = (mp.pi / a) ** 1.5 * (f(3, x_top) - f(3, x_top - a * R * R)) / (eps * lam3)
+                assert L_m == pytest.approx(float(L), rel=1e-9, abs=0.0), x
+                assert t_d == pytest.approx(float(K * column / (mp.pi * R * R)), rel=1e-9,
+                                            abs=0.0), x
 
 
 class TestEffectiveGroupVelocity:
