@@ -29,7 +29,14 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from .constants import c as C_LIGHT
-from .gas import GasSpec, Statistics, TrapGeometry, char_scales, thermal_wavelength
+from .gas import (
+    GasSpec,
+    Statistics,
+    TrapGeometry,
+    char_scales,
+    require_temperature_in_range,
+    thermal_wavelength,
+)
 from .numerics import replace
 from .optics import ProbeParams, effective_group_velocity
 
@@ -281,16 +288,13 @@ def parse_config(text: str) -> RunConfig:
     config = RunConfig(
         gas=gas_spec, trap=trap, probe=probe, sweep=sweep, scales=char_scales(gas_spec, trap),
     )
-    # The normalizations take (T/T_F)^3 and (T/T_c)^3 or their inverses, which
-    # leave the float range long before T does (where ** raises OverflowError).
-    # The grid is monotone, so a temperature sweep's endpoints bound it.
+    # gas's rule for the temperatures the normalizations take; the grid is
+    # monotone, so a temperature sweep's endpoints bound it
     for key in ("sweep.start", "sweep.stop") if axis == "temperature" else ("sweep.temperature",):
-        for name in ("T_F", "T_c"):
-            t = v[key] * config.temperature_unit / getattr(config.scales, name)
-            cube = t * t * t
-            if not (math.isfinite(cube) and cube and math.isfinite(1.0 / cube)):
-                raise invalid(key, f"(T/{name})^3 and its inverse must be finite and nonzero, "
-                                   f"got (T/{name})^3 = {cube}")
+        try:
+            require_temperature_in_range(v[key] * config.temperature_unit, config.scales)
+        except ValueError as exc:
+            raise invalid(key, str(exc)) from None
     return config
 
 

@@ -104,7 +104,6 @@ class CharScales(namedtuple("CharScales", [
     "R_B",      # m, zero-T Thomas-Fermi condensate radius
     "mu_TF",    # J, Thomas-Fermi chemical potential at T = 0
     "eta",      # mu_TF / (k_B T_c)
-    "epsilon",  # trap aspect ratio, kept for optics.v_g_zero_T
 ])):
     """Derived characteristic quantities of a (spec, trap) pair."""
 
@@ -149,14 +148,28 @@ def char_scales(spec: GasSpec, trap: TrapGeometry) -> CharScales:
         mu_TF = eta * k_B * T_c
     return CharScales(
         E_F=E_F, T_F=T_F, T_c=T_c, a_r=a_r, a_ho=a_ho,
-        R_F=R_F, R_B=R_B, mu_TF=mu_TF, eta=eta, epsilon=trap.epsilon,
+        R_F=R_F, R_B=R_B, mu_TF=mu_TF, eta=eta,
     )
+
+
+def require_temperature_in_range(T: float, scales: CharScales) -> None:
+    """The normalizations take (T/T_F)^3 and (T/T_c)^3 or their inverses,
+    which must be finite and nonzero.  They leave the float range long
+    before T does, where ** raises OverflowError and a zero ends in a bare
+    math domain error; the cube by multiplication rounds to inf or 0 instead."""
+    for name in ("T_F", "T_c"):
+        t = T / getattr(scales, name)
+        cube = t * t * t
+        if not (math.isfinite(cube) and cube and math.isfinite(1.0 / cube)):
+            raise ValueError(f"(T/{name})^3 and its inverse must be finite and nonzero, "
+                             f"got (T/{name})^3 = {cube}")
 
 
 def mu_classical(T: float, scales: CharScales) -> float:
     """Boltzmann-gas chemical potential; normalizes the Gaussian cloud exactly."""
     if T <= 0.0:
         raise ValueError("mu_classical requires T > 0")
+    require_temperature_in_range(T, scales)
     return -k_B * T * math.log(6.0 * (T / scales.T_F) ** 3)
 
 
@@ -167,6 +180,7 @@ def solve_mu_fermi(T: float, scales: CharScales) -> float:
     T_F/T above, as f_3(e^x) = x^3/6 + pi^2 x/6 + f_3(e^-x) > x^3/6 for x > 0."""
     if T <= 0.0:
         raise ValueError("solve_mu_fermi requires T > 0")
+    require_temperature_in_range(T, scales)
     beta = 1.0 / (k_B * T)
     t_inv = scales.T_F / T
     target = t_inv**3 / 6.0
@@ -199,6 +213,7 @@ def mu_bose(T: float, scales: CharScales) -> ThermoPoint:
         raise ValueError("mu_bose requires T >= 0")
     if T == 0.0:
         return ThermoPoint(T=0.0, mu=scales.mu_TF, fugacity=1.0, condensate_fraction=1.0)
+    require_temperature_in_range(T, scales)
     if T > scales.T_c:
         target = ZETA_3 * (scales.T_c / T) ** 3
         z = find_root(lambda u: polylog(3.0, u) - target, 1e-300, 1.0)

@@ -346,8 +346,8 @@ def v_g_zero_T(
     Fermi: (sqrt2 omega_0^2 Delta^2 / (9 N eps c^2 gamma)) R_F^3
            / (1 - (R/R_F)^2 + (R/R_F)^4 / 3)
 
-    N and eps are recovered from the scales; R is the pinhole radius and
-    must not exceed the cloud radius.
+    N eps is (R_F / a_r)^6 / 48 by the scales' definition of R_F; R is the
+    pinhole radius and must not exceed the cloud radius.
 
     Both are exactly twice the pipeline's L / t_d with the local field off.
     There t_d = K C / (pi R^2) with K = 2 pi omega_0 alpha / (Delta c)
@@ -364,8 +364,7 @@ def v_g_zero_T(
     against the prefactors 4 / (3 sqrt7) and sqrt2 / 9 above.  Acceptance
     criterion 11 asserts the factor 2 to 1e-9.
     """
-    eps = scales.epsilon
-    n_atoms = scales.R_F**6 / (48.0 * eps * scales.a_r**6)
+    n_eps = (scales.R_F / scales.a_r) ** 6 / 48.0
     R = probe.pinhole_R
     w0, dlt, gam = probe.omega_0, probe.delta, probe.gamma
     if statistics is Statistics.BOSE:
@@ -374,7 +373,7 @@ def v_g_zero_T(
         u2 = (R / scales.R_B) ** 2
         shape = -math.expm1(2.5 * math.log1p(-u2)) if u2 < 1.0 else 1.0
         return (
-            4.0 * w0**2 * dlt**2 / (3.0 * math.sqrt(7.0) * n_atoms * eps * c_light**2 * gam)
+            4.0 * w0**2 * dlt**2 / (3.0 * math.sqrt(7.0) * n_eps * c_light**2 * gam)
             * R * R * scales.R_B / shape
         )
     if statistics is Statistics.FERMI:
@@ -383,7 +382,7 @@ def v_g_zero_T(
         u2 = (R / scales.R_F) ** 2
         shape = 1.0 - u2 + u2 * u2 / 3.0
         return (
-            math.sqrt(2.0) * w0**2 * dlt**2 / (9.0 * n_atoms * eps * c_light**2 * gam)
+            math.sqrt(2.0) * w0**2 * dlt**2 / (9.0 * n_eps * c_light**2 * gam)
             * scales.R_F**3 / shape
         )
     raise UnsupportedStatisticsError("zero-T group velocity needs Bose or Fermi")

@@ -115,6 +115,23 @@ class TestChemicalPotentials:
         got = solve_mu_fermi(0.05 * s.T_F, s) / (k_B * 0.05 * s.T_F)
         assert got == pytest.approx(x, rel=3e-12, abs=0.0)
 
+    @pytest.mark.parametrize("t", [1e-120, 1e120])
+    def test_temperature_past_the_float_range_names_the_ratio(self, na_cloud, t):
+        # (T/T_F)^3 or its inverse leaves the float range while T does not:
+        # without the rule an OverflowError, a math domain error, a
+        # ZeroDivisionError or a BracketError, by function and side
+        spec, trap, s = na_cloud
+        T = t * s.T_F
+        fermi = GasSpec(Statistics.FERMI, spec.n_atoms, spec.mass)
+        boltzmann = GasSpec(Statistics.BOLTZMANN, spec.n_atoms, spec.mass)
+        for call in (lambda: solve_mu_fermi(T, s), lambda: mu_classical(T, s),
+                     lambda: mu_bose(T, s), lambda: make_profile(fermi, trap, T),
+                     lambda: make_profile(boltzmann, trap, T),
+                     lambda: make_profile(spec, trap, T)):
+            with pytest.raises(ValueError, match=r"^\(T/T_F\)\^3 and its inverse must be finite "
+                                                 r"and nonzero, got \(T/T_F\)\^3 = (inf|0\.0)$"):
+                call()
+
     def test_classical_zero_crossing(self, na_cloud):
         _, _, s = na_cloud
         T0 = s.T_F / 6.0 ** (1.0 / 3.0)
@@ -241,7 +258,7 @@ class TestDensityProfiles:
         spec, trap, s = na_cloud
         assert density(spec, trap, 0.0, s.R_B * 1.01, 0.0) == 0.0
         fspec = GasSpec(Statistics.FERMI, spec.n_atoms, spec.mass)
-        assert density(fspec, trap, 0.0, 0.0, s.R_F / s.epsilon * 1.01) == 0.0
+        assert density(fspec, trap, 0.0, 0.0, s.R_F / trap.epsilon * 1.01) == 0.0
 
     def test_zero_T_boltzmann_rejected(self, na_cloud):
         spec, trap, _ = na_cloud
@@ -508,7 +525,7 @@ class TestValidation:
         # a string once stayed a string, so every `is Statistics.X` test missed
         # it; equal specs share one cache entry, so the string goes first
         _, trap, s = na_cloud
-        T, z = t * s.T_F, 0.3 * s.R_F / s.epsilon
+        T, z = t * s.T_F, 0.3 * s.R_F / trap.epsilon
         make_profile.cache_clear()
         by_value = GasSpec("fermi", 3.8e6, MASS_NA)
         first = density(by_value, trap, T, 0.0, z)

@@ -181,6 +181,19 @@ class TestFermiDirac:
         value = fermi_dirac_f(1.0, 800.0)
         assert math.isfinite(value) and value == 800.0 + math.log1p(math.exp(-800.0))
 
+    def test_integer_orders_end_at_twenty_five(self):
+        # the front polynomial of f_n needs eta(2), ..., eta(n - 1), and the
+        # table holds eta(24); n = 26 once indexed past it (an IndexError)
+        for x in (-0.5, 0.3, 3.0, 12.0, 40.0):
+            exact = float(complex(-mp.polylog(25, -mp.exp(mp.mpf(x)))).real)
+            assert fermi_dirac_f(25.0, x) == pytest.approx(exact, rel=1e-15, abs=0.0), x
+        for x in (-0.5, 1.0, 40.0):
+            with pytest.raises(DomainError, match=r"integer 1 <= nu <= 25, got nu=26"):
+                fermi_dirac_f(26, x)
+        # inside the series region every order is served
+        assert fermi_dirac_f(26.0, -1.0) == pytest.approx(
+            float(complex(-mp.polylog(26, -mp.exp(-1))).real), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("nu,x", [(0.0, 1.0), (-1.0, 1.0), (0.0, -0.2)])
     def test_integer_order_below_one_is_a_domain_error(self, nu, x):
         with pytest.raises(DomainError, match=f"order must be >= 1, got {round(nu)}"):
@@ -218,34 +231,53 @@ class TestFermiDirac:
 
 FIT_EDGES = (math.log(0.5), 2.0, 6.0, 20.0)
 FIT_TERMS = 24
+# the piece for x >= 20: f Gamma(5/2) / x^(3/2) on u = (20/x)^2 in [0, 1]
+TAIL_TERMS = 12
+TAIL_DIGITS = 34
 
 
 @lru_cache(maxsize=None)
-def mp_fd_three_halves(x) -> mp.mpf:
-    """f_{3/2}(e^x) in mpmath at 30 digits from the Hurwitz-zeta inversion,
+def mp_fd_three_halves(x, digits: int = 30) -> mp.mpf:
+    """f_{3/2}(e^x) in mpmath at the given digits from the Hurwitz-zeta inversion,
     Li_s(-e^x) = 2 (2 pi)^(s-1) Gamma(1-s) Re[e^(i pi (1-s)/2) zeta(1-s, 1/2 - i x/2pi)].
     It costs about 4 ms a call where mpmath.polylog(1.5, -e^x) costs about
     40 ms; test_mpmath_reference_is_polylog checks that the two agree.
     Cached, so the tests of the fit share the node values."""
-    with mp.workdps(30):
+    with mp.workdps(digits):
         s = mp.mpf(1.5)
         a = mp.mpf(0.5) - 1j * mp.mpf(x) / (2 * mp.pi)
         return -2 * (2 * mp.pi) ** (s - 1) * mp.gamma(1 - s) * mp.re(
             mp.expjpi((1 - s) / 2) * mp.zeta(1 - s, a))
 
 
-def mp_chebyshev_fit(lo: float, hi: float) -> tuple[float, ...]:
-    """The generator of numerics._FD32_FIT: c_k = (2/N) sum_j f(x_j) cos(k theta_j),
-    c_0 halved, at the N Chebyshev nodes x_j = mid + half cos(theta_j),
-    theta_j = pi (j + 1/2) / N, all in mpmath at 30 digits."""
-    with mp.workdps(30):
-        mid, half = (mp.mpf(lo) + hi) / 2, (mp.mpf(hi) - lo) / 2
-        theta = [mp.pi * (j + mp.mpf(0.5)) / FIT_TERMS for j in range(FIT_TERMS)]
-        values = [mp_fd_three_halves(mid + half * mp.cos(t)) for t in theta]
-        coeffs = [2 * mp.fsum(v * mp.cos(k * t) for v, t in zip(values, theta)) / FIT_TERMS
-                  for k in range(FIT_TERMS)]
+def mp_chebyshev_fit(f, terms: int, digits: int) -> tuple[float, ...]:
+    """The generator of numerics._FD32_FIT: c_k = (2/N) sum_j f(t_j) cos(k theta_j),
+    c_0 halved, at the N Chebyshev nodes t_j = cos(theta_j) of [-1, 1],
+    theta_j = pi (j + 1/2) / N, all in mpmath at the given digits."""
+    with mp.workdps(digits):
+        theta = [mp.pi * (j + mp.mpf(0.5)) / terms for j in range(terms)]
+        values = [f(mp.cos(t)) for t in theta]
+        coeffs = [2 * mp.fsum(v * mp.cos(k * t) for v, t in zip(values, theta)) / terms
+                  for k in range(terms)]
         coeffs[0] /= 2
         return tuple(float(c) for c in coeffs)
+
+
+def mp_fit_pieces() -> list[tuple[float, float, tuple[float, ...]]]:
+    """(lo, hi, c) of every piece, as numerics._FD32_FIT holds them: f itself
+    at x = mid + half t on the three intervals of FIT_EDGES, at 30 digits,
+    and f Gamma(5/2) / x^(3/2) at u = (1 + t) / 2, x = 20 / sqrt(u), at 34."""
+
+    def interval(lo, hi):
+        return lambda t: mp_fd_three_halves((mp.mpf(lo) + hi) / 2 + (mp.mpf(hi) - lo) / 2 * t)
+
+    def tail(t):
+        x = FIT_EDGES[-1] / mp.sqrt((1 + t) / 2)
+        return mp_fd_three_halves(x, TAIL_DIGITS) * mp.gamma(2.5) / x**1.5
+
+    pieces = [(lo, hi, mp_chebyshev_fit(interval(lo, hi), FIT_TERMS, 30))
+              for lo, hi in zip(FIT_EDGES, FIT_EDGES[1:])]
+    return pieces + [(0.0, 1.0, mp_chebyshev_fit(tail, TAIL_TERMS, TAIL_DIGITS))]
 
 
 def fit_check_points(per_interval: int) -> list[float]:
@@ -260,15 +292,27 @@ def fit_check_points(per_interval: int) -> list[float]:
     return points
 
 
+def tail_check_points(count: int) -> list[float]:
+    """x in [20, 1e6] for the piece in u = (20/x)^2: the next float above 20,
+    x at the Chebyshev extrema of u in (0, 1], 20 among them, and a geometric
+    grid up to 1e6, where u is 4e-10."""
+    edge = FIT_EDGES[-1]
+    extrema = [0.5 * (1.0 + math.cos(math.pi * j / count)) for j in range(count)]
+    geometric = [edge * 5e4 ** (j / count) for j in range(1, count + 1)]
+    return [math.nextafter(edge, math.inf), *(edge / math.sqrt(u) for u in extrema), *geometric]
+
+
 class TestThreeHalvesFit:
-    """f_{3/2}(e^x) on ln 1/2 < x < 20 comes from a Chebyshev fit on three
-    intervals, reached through _polylog_negative_axis."""
+    """f_{3/2}(e^x) for x > ln 1/2 comes from a Chebyshev fit in four pieces,
+    the three intervals of FIT_EDGES reached through _polylog_negative_axis
+    and the piece in u = (20/x)^2 for x >= 20 through _fd_sommerfeld."""
 
     def test_generator_rebuilds_the_checked_in_coefficients(self):
-        assert tuple((lo, hi) for lo, hi, _ in _FD32_FIT) == tuple(zip(FIT_EDGES, FIT_EDGES[1:]))
-        for lo, hi, coeffs in _FD32_FIT:
-            assert len(coeffs) == FIT_TERMS
-            for k, (got, want) in enumerate(zip(coeffs, mp_chebyshev_fit(lo, hi))):
+        rebuilt = mp_fit_pieces()
+        assert [(lo, hi, len(c)) for lo, hi, c in _FD32_FIT] == [
+            (lo, hi, len(c)) for lo, hi, c in rebuilt]
+        for (lo, _, coeffs), (_, _, wanted) in zip(_FD32_FIT, rebuilt):
+            for k, (got, want) in enumerate(zip(coeffs, wanted)):
                 assert abs(got - want) <= math.ulp(want), (lo, k, got, want)
 
     def test_mpmath_reference_is_polylog(self):
@@ -282,6 +326,13 @@ class TestThreeHalvesFit:
         for x in points:
             exact = float(mp_fd_three_halves(x))
             assert -_polylog_negative_axis(1.5, x) == pytest.approx(exact, rel=1e-15, abs=0.0), x
+
+    def test_tail_against_mpmath(self):
+        points = tail_check_points(60)
+        assert len(points) >= 100 and min(points) == FIT_EDGES[-1] and max(points) == 1e6
+        for x in points:
+            exact = float(mp_fd_three_halves(x))
+            assert fermi_dirac_f(1.5, x) == pytest.approx(exact, rel=1e-15, abs=0.0), x
 
     def test_against_mpmath_at_random_points(self):
         # off the Chebyshev extrema too: fermi_dirac_f at uniform random x
@@ -307,13 +358,15 @@ class TestThreeHalvesFit:
         assert fit == pytest.approx(series, rel=2e-15, abs=0.0)
 
     def test_continuous_with_sommerfeld_above(self):
-        # the truncated Sommerfeld series is itself 7e-12 off at x = 20
+        # the _fd_sommerfeld branch is the fit's piece in (20/x)^2; the
+        # truncated Sommerfeld series it replaced was 7e-12 off at x = 20
         assert SOMMERFELD_SWITCH == FIT_EDGES[-1]
         fit = fermi_dirac_f(1.5, math.nextafter(SOMMERFELD_SWITCH, 0.0))
-        asym = fermi_dirac_f(1.5, SOMMERFELD_SWITCH)
-        assert asym == pytest.approx(fit, rel=1e-11, abs=0.0)
-        assert fit == pytest.approx(float(mp_fd_three_halves(SOMMERFELD_SWITCH)),
-                                    rel=1e-15, abs=0.0)
+        tail = fermi_dirac_f(1.5, SOMMERFELD_SWITCH)
+        assert tail == pytest.approx(fit, rel=2e-15, abs=0.0)
+        for value in (fit, tail):
+            assert value == pytest.approx(float(mp_fd_three_halves(SOMMERFELD_SWITCH)),
+                                          rel=1e-15, abs=0.0)
 
 
 class TestIntegrate1d:
@@ -471,7 +524,7 @@ class TestFindRoot:
 
 
 # the orders the package evaluates zeta at: the polylog orders, the even
-# integers of the Sommerfeld coefficients and the near-one coefficients
+# integers of the front polynomials P_n (_ETA_EVEN) and the near-one coefficients
 # zeta(s - k), k <= 24
 ZETA_ARGS = sorted(
     {0.5, 0.75, 1.5, 2.5, 3.0, 4.0}

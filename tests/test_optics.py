@@ -12,6 +12,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 from scipy.constants import c as c_light, h, hbar, k as k_B
 
+from slowlight.cli import parse_config, preset_text
 from slowlight.gas import (
     GasSpec, Statistics, TrapGeometry, char_scales, density, make_profile, mu_bose,
 )
@@ -765,6 +766,75 @@ class TestBenchmarkReferenceOracle:
                 assert L_m == pytest.approx(float(L), rel=1e-9, abs=0.0), x
                 assert t_d == pytest.approx(float(K * column / (mp.pi * R * R)), rel=1e-9,
                                             abs=0.0), x
+
+
+def preset_reference(name):
+    """The preset's config and the rows of tests/reference/<name>.csv, with the
+    control value x of each row from the preset's grid (the CSV prints it to
+    12 digits).  The cloud and probe are those of the oracles above."""
+    config = parse_config(preset_text(name))
+    gas, probe = config.gas, config.probe
+    assert (gas.n_atoms, gas.mass, gas.a_sc) == pytest.approx((3.8e6, MASS_NA, 2.75e-9), rel=1e-15)
+    assert (probe.omega_0, probe.gamma) == pytest.approx((OMEGA_0, GAMMA), rel=1e-15)
+    assert probe.local_field_on
+    reference = Path(__file__).resolve().parent / "reference" / f"{name}.csv"
+    lines = reference.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    xs = config.sweep.grid() * len(config.sweep.statistics_list)
+    assert [r[0] for r in rows] == [s.value for s in config.sweep.statistics_list
+                                    for _ in range(config.sweep.points)]
+    for row, x in zip(rows, xs):
+        assert float(row[1]) == pytest.approx(x, rel=1e-11, abs=0.0)
+    return config, [(Statistics(r[0]), x, *map(float, r[2:])) for r, x in zip(rows, xs)]
+
+
+def check_rows_against_oracle(config, rows, T, delta_gammas):
+    """L, t_d and ln(transmission) of rows of one statistics at temperature T
+    against mp_observables on mp_thermal_cloud, at the detunings given."""
+    trap, stat = config.trap, rows[0][0]
+    with mp.workdps(15):
+        rho, L, s_end, R_c = mp_thermal_cloud(stat, config.gas.n_atoms, config.gas.a_sc, trap, T)
+        expected = [mp_observables(rho, mp.mpf(trap.epsilon), L, delta_gamma,
+                                   config.probe.pinhole_R, s_end, (R_c,))
+                    for delta_gamma in delta_gammas]
+    for (_, x, L_m, t_d, _, trans), (t_d_mp, ln_T) in zip(rows, expected):
+        assert L_m == pytest.approx(float(L), rel=1e-9, abs=0.0), (stat, x)
+        assert t_d == pytest.approx(float(t_d_mp), rel=1e-9, abs=0.0), (stat, x)
+        assert math.log(trans) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0), (stat, x)
+
+
+class TestPresetReferenceOracle:
+    """Rows of tests/reference/fig1.csv and fig2.csv, which TestPresetReference
+    holds the run to byte for byte, against mpmath, as TestBenchmarkReferenceOracle
+    does for the benchmark's rows.  At 15 digits the oracle takes about a
+    second per cloud."""
+
+    def test_fig2_rows(self):
+        # T = T_c / 2: the lowest, middle and highest detuning of each statistics
+        config, rows = preset_reference("fig2")
+        T = config.sweep.temperature * config.scales.T_c
+        for stat in config.sweep.statistics_list:
+            mine = [r for r in rows if r[0] is stat]
+            picked = [mine[0], mine[len(mine) // 2], mine[-1]]
+            check_rows_against_oracle(config, picked, T, [r[1] for r in picked])
+
+    def test_fig1_rows(self):
+        # the lowest and highest T of Bose and Boltzmann.  Fermi needs
+        # beta mu < 2 pi, the reach of mp_fd_three_halves_core, whose series
+        # at 15 digits takes under a second up to beta mu = 3.8 and does not
+        # return within minutes at 4.13 (row 10) or 4.3.  Rows 11 and 63, at
+        # beta mu = 3.74 and -1.88: a density through the fit's pieces on
+        # [2, 6] and [ln 1/2, 2] and the power series, and one through the
+        # series alone
+        config, rows = preset_reference("fig1")
+        T_c, points = config.scales.T_c, config.sweep.points
+        picked = {Statistics.FERMI: (11, points - 1),
+                  Statistics.BOSE: (0, points - 1), Statistics.BOLTZMANN: (0, points - 1)}
+        for stat, indices in picked.items():
+            mine = [r for r in rows if r[0] is stat]
+            for i in indices:
+                check_rows_against_oracle(config, [mine[i]], mine[i][1] * T_c,
+                                          [config.probe.delta / config.probe.gamma])
 
 
 class TestEffectiveGroupVelocity:
