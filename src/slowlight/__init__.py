@@ -36,7 +36,6 @@ from .optics import (
     PropagationResult,
     Susceptibility,
     ZeroDetuningError,
-    char_volume,
     delay_time,
     effective_group_velocity,
     effective_length,

@@ -10,6 +10,8 @@ alpha = d^2 / (hbar Delta) is the off-resonant polarizability expressed in
 the Gaussian-unit convention in which chi' ~ alpha rho is dimensionless.
 The atoms are two-level, so the linewidth fixes the dipole moment,
 d^2 = 3 hbar gamma c^3 / (4 omega_0^3), and alpha = 3 gamma / (4 k_L^3 Delta).
+_response binds this response once per probe for chi, the local group
+velocity, t_d and the transmission.
 
 Observables, all per unit cloud at temperature T:
   effective_length          L = [ (1/N) int z^2 rho dV ]^(1/2)
@@ -24,10 +26,9 @@ moment, DensityProfile.axial_moment), and so is t_d with the local field
 off, where the excess slowness is linear in rho and only the pinhole column
 (DensityProfile.pinhole_column) enters; for a pinhole far narrower than the
 thermal cloud that column is one short 1-D integral.  t_d with the local
-field on and
-the transmission are nonlinear in rho and stay adaptive quadratures, one
-1-D integral over shells each (_pinhole_integral): in the scaled
-coordinates s = (x, y, eps z) the LDA density depends on |s| alone.
+field on and the transmission are nonlinear in rho and stay adaptive
+quadratures, one 1-D integral over shells each (_pinhole_integral): in the
+scaled coordinates s = (x, y, eps z) the LDA density depends on |s| alone.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class ProbeParams(namedtuple("ProbeParams", "omega_0 gamma delta pinhole_R local
                 local_field_on: bool = True):
         self = tuple.__new__(cls, (omega_0, gamma, delta, pinhole_R, local_field_on))
         require_finite(self, "omega_0", "gamma", "delta", "pinhole_R")
+        if not isinstance(local_field_on, bool):
+            raise ValueError(f"local_field_on must be True or False, got {local_field_on!r}")
         if self.omega_0 <= 0.0 or self.gamma <= 0.0:
             raise ValueError("omega_0 and gamma must be positive")
         if self.delta == 0.0:
@@ -114,41 +117,44 @@ def polarizability(probe: ProbeParams) -> float:
     return d_sq / (hbar * probe.delta)
 
 
-def char_volume(probe: ProbeParams) -> float:
-    """4 pi^2 gamma / (Delta k_L^3) with k_L = omega_0 / c: the volume in
-    which one atom makes the local-field correction order unity.  Its ratio
-    to (4pi/3)*polarizability is fixed at 4 pi by the two-level dipole
-    moment; both are exposed so the convention gap stays visible."""
-    return 4.0 * math.pi**2 * probe.gamma / (probe.delta * (probe.omega_0 / c_light) ** 3)
+def _response(probe: ProbeParams):
+    """(b, chi, excess), bound once per probe: b = (4 pi / 3) alpha is the
+    local-field strength (0 with the local field off), chi(rho) = (chi', chi''),
+    and excess(rho) = K rho / (1 - b rho)^2, K = 2 pi omega_0 alpha / (Delta c),
+    is 1/v_g - 1/c without the difference, which rounds to a staircase."""
+    alpha = polarizability(probe)
+    factor = 4.0 * math.pi / 3.0 if probe.local_field_on else 0.0
+    b = factor * alpha
+    g = probe.gamma / (2.0 * probe.delta)
+    K = 2.0 * math.pi * probe.omega_0 * alpha / (probe.delta * c_light)
+
+    def chi(rho: float) -> tuple[float, float]:
+        if rho < 0.0:
+            raise ValueError("density must be nonnegative")
+        alpha_rho = alpha * rho
+        d_loc = 1.0 - factor * alpha_rho
+        den = d_loc * d_loc + g * g
+        if den < 1e-300:
+            raise ZeroDivisionError("resonant denominator underflow in susceptibility")
+        return alpha_rho * d_loc / den, abs(alpha_rho * g) / den
+
+    def excess(rho: float) -> float:
+        return K * rho / (1.0 - b * rho) ** 2
+
+    return b, chi, excess
 
 
 def susceptibility(rho: float, probe: ProbeParams) -> Susceptibility:
     """Clausius-Mossotti response at number density rho."""
-    if rho < 0.0:
-        raise ValueError("density must be nonnegative")
-    alpha_rho = polarizability(probe) * rho
-    d_loc = 1.0 - (4.0 * math.pi / 3.0) * alpha_rho if probe.local_field_on else 1.0
-    g = probe.gamma / (2.0 * probe.delta)
-    den = d_loc * d_loc + g * g
-    if den < 1e-300:
-        raise ZeroDivisionError("resonant denominator underflow in susceptibility")
-    return Susceptibility(
-        chi_re=alpha_rho * d_loc / den,
-        chi_abs=abs(alpha_rho * g) / den,
-    )
+    _, chi, _ = _response(probe)
+    return Susceptibility(*chi(rho))
 
 
 def group_velocity_local(rho: float, probe: ProbeParams) -> float:
-    """Local group velocity of the dispersive response,
-
-        v_g = c [1 + 2 pi omega_0 alpha rho / (Delta (1 - 4 pi alpha rho / 3)^2)]^-1,
-
-    with the local-field factor dropped when local_field_on is False."""
-    alpha_rho = polarizability(probe) * rho
-    d_loc = 1.0 - (4.0 * math.pi / 3.0) * alpha_rho if probe.local_field_on else 1.0
-    return c_light / (
-        1.0 + 2.0 * math.pi * probe.omega_0 * alpha_rho / (probe.delta * d_loc * d_loc)
-    )
+    """Local group velocity of the dispersive response, c / (1 + c K rho /
+    (1 - b rho)^2) with the excess slowness of _response."""
+    _, _, excess = _response(probe)
+    return c_light / (1.0 + c_light * excess(rho))
 
 
 def group_velocity_from_dispersion(rho: float, probe: ProbeParams) -> float:
@@ -235,31 +241,23 @@ def _pinhole_integral(
 def _delay_of_profile(
     prof, probe: ProbeParams, tol: NumericTolerances
 ) -> float:
-    # Pinhole-averaged excess delay; the vacuum transit cancels identically
-    # in the excess-slowness form, so the axial window only needs to cover
-    # the cloud.  The excess slowness is 1/v_g - 1/c = K rho / (1 - (4 pi / 3)
-    # alpha rho)^2 with K = 2 pi omega_0 alpha / (Delta c), written without
-    # the difference, which rounds to a staircase where rho is tiny.
+    # Pinhole-averaged excess delay; the vacuum transit cancels in the excess
+    # slowness, so the axial window only needs to cover the cloud.
     R = probe.pinhole_R
-    alpha = polarizability(probe)
-    K = 2.0 * math.pi * probe.omega_0 * alpha / (probe.delta * c_light)
+    b, _, excess = _response(probe)
     if not probe.local_field_on:
         # Without the local-field denominator the excess slowness is linear
         # in rho, so the average needs only the atoms in the pinhole column.
-        return K * prof.pinhole_column(R) / (math.pi * R * R)
+        return excess(prof.pinhole_column(R)) / (math.pi * R * R)
 
     # the density peaks at the trap centre, so 1 - (4 pi / 3) alpha rho stays
     # positive throughout the cloud exactly when it does there
-    b = (4.0 * math.pi / 3.0) * alpha
     x_peak = b * prof.peak()
     if x_peak >= 1.0:
         raise LocalFieldPoleError(
             f"local-field pole: x_peak = (4 pi/3) alpha rho(0, 0) = {x_peak:.6g} >= 1; "
             "x_peak grows with gas.atom_count and falls with probe.detuning_gamma"
         )
-
-    def excess(rho: float) -> float:
-        return K * rho / (1.0 - b * rho) ** 2
 
     W = prof.trap.epsilon * prof.z_cut
     return _pinhole_integral(excess, prof, R, W, tol) / (math.pi * R * R)
@@ -293,12 +291,9 @@ def _transmission_of_profile(
     prof, probe: ProbeParams, L: float, tol: NumericTolerances
 ) -> float:
     R = probe.pinhole_R
-
-    def absorptive(rho: float) -> float:
-        return susceptibility(rho, probe).chi_abs
-
+    _, chi, _ = _response(probe)
     W = prof.trap.epsilon * min(0.5 * L, prof.z_cut)
-    integral = _pinhole_integral(absorptive, prof, R, W, tol)
+    integral = _pinhole_integral(lambda rho: chi(rho)[1], prof, R, W, tol)
     alpha_T = -2.0 * probe.omega_0 / c_light * integral / (math.pi * R * R)
     return math.exp(alpha_T)
 
@@ -309,11 +304,14 @@ def transmission(
     L: float | None = None,
 ) -> float:
     """Transmission exp(alpha_T) with the absorbance averaged over the
-    pinhole and the central +-L/2 axial window.  A pinhole as wide as the
-    cloud raises PinholeError."""
+    pinhole and the central +-L/2 axial window; L defaults to the
+    effective length and must be finite and positive.  A pinhole as wide as
+    the cloud raises PinholeError."""
     prof = _checked_profile(spec, trap, probe, T, tol)
     if L is None:
         L = effective_length(spec, trap, T, tol)
+    elif not 0.0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, got {L!r}")
     return _transmission_of_profile(prof, probe, L, tol)
 
 

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath as mp
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 from scipy.constants import c as c_light, h, hbar, k as k_B
 
+from slowlight import optics
 from slowlight.cli import parse_config, preset_text
 from slowlight.gas import (
     GasSpec, Statistics, TrapGeometry, char_scales, density, make_profile, mu_bose,
@@ -22,7 +24,6 @@ from slowlight.optics import (
     PinholeError,
     ProbeParams,
     ZeroDetuningError,
-    char_volume,
     delay_time,
     effective_group_velocity,
     effective_length,
@@ -116,23 +117,11 @@ class TestPolarizability:
         with pytest.warns(UserWarning):
             na_probe(2.0)
 
-
-class TestCharVolume:
-    def test_reference_value(self):
-        # ~3.25e-15 cm^3 at ten linewidths, in the 4e-15 cm^3 ballpark
-        v_alpha = char_volume(na_probe())
-        assert v_alpha * 1e6 == pytest.approx(3.25e-15, rel=2e-3, abs=0.0)
-
-    def test_inverse_detuning_scaling(self):
-        assert char_volume(na_probe(10.0)) == pytest.approx(
-            2.0 * char_volume(na_probe(20.0)), rel=1e-12, abs=0.0
-        )
-
-    def test_convention_ratio_to_polarizability(self):
-        # (4 pi/3) alpha / V_alpha = 1/(4 pi) with the two-level dipole moment
-        probe = na_probe()
-        ratio = (4.0 * math.pi / 3.0) * polarizability(probe) / char_volume(probe)
-        assert ratio == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("flag", ["off", "False", 0, 1, None])
+    def test_local_field_flag_must_be_a_bool(self, flag):
+        # a truthy "off" would turn the local field on
+        with pytest.raises(ValueError, match="local_field_on"):
+            ProbeParams(OMEGA_0, GAMMA, 10.0 * GAMMA, 7.5e-6, local_field_on=flag)
 
 
 class TestSusceptibility:
@@ -364,6 +353,13 @@ class TestTransmission:
             ]
             assert all(a < b for a, b in zip(got, got[1:])), stat
 
+    @pytest.mark.parametrize("L", [-1e-5, 0.0, math.nan, math.inf])
+    def test_window_length_must_be_finite_and_positive(self, na_cloud, L):
+        # a negative L gave a transmission above 1, and L = 0 gave exactly 1
+        spec, trap, s = na_cloud
+        with pytest.raises(ValueError, match=r"\bL must be finite and positive"):
+            transmission(spec, trap, na_probe(), 0.5 * s.T_c, L=L)
+
 
 class TestShellIntegral:
     """The shell route of the local-field delay and the transmission against
@@ -550,35 +546,50 @@ class TestZeroTemperatureMpmathOracle:
         assert math.log(got.transmission) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0)
 
 
+def mp_fd_hurwitz(s, x):
+    """f_s(e^x) = -Li_s(-e^x) for half-integer s from the Hurwitz-zeta form
+    Li_s(-e^x) = 2 (2 pi)^(s-1) Gamma(1-s) Re[e^(i pi (1-s)/2) zeta(1-s, 1/2 - i x/2pi)],
+    which holds for every real x, as in test_numerics.mp_fd_three_halves."""
+    a = mp.mpf(0.5) - 1j * mp.mpf(x) / (2 * mp.pi)
+    return -2 * (2 * mp.pi) ** (s - 1) * mp.gamma(1 - s) * mp.re(
+        mp.expjpi((1 - s) / 2) * mp.zeta(1 - s, a))
+
+
+@lru_cache(maxsize=None)
+def mp_fd_three_halves_piece(k, digits):
+    """(c, h, coefficients) of the k-th piece [c - h, c + h] of
+    mp_fd_three_halves_core: the Taylor series of f_{3/2}(e^x) about c, whose
+    coefficients are f_{3/2-m}(e^c) / m!.  The pieces start at -ln 2 and
+    join end to end.  The series has radius |c + i pi|, the distance to the
+    poles of f at x = +-i pi, and each piece reaches half as far,
+    h = |c + i pi| / 2, so on the piece the terms fall about twofold per
+    order.  Cached per working precision: the clouds of a test run share
+    the pieces."""
+    lo = -mp.ln2 if k == 0 else sum(mp_fd_three_halves_piece(k - 1, digits)[:2])
+    with mp.workdps(digits + 10):
+        # h = |lo + h + i pi| / 2 solved for h
+        h = (lo + mp.sqrt(4 * lo * lo + 3 * mp.pi**2)) / 3
+        c, tiny = lo + h, mp.mpf(10) ** -digits
+        coeffs, terms = [], []  # terms: the largest |d_m (x - c)^m| on the piece
+        while len(terms) < 3 or max(terms[-2:]) > tiny * terms[0]:
+            m = len(coeffs)
+            coeffs.append(mp_fd_hurwitz(mp.mpf(1.5) - m, c) / mp.factorial(m))
+            terms.append(abs(coeffs[-1]) * h**m)
+    return c, h, [+d for d in reversed(coeffs)]
+
+
 def mp_fd_three_halves_core(x_top):
     """f_{3/2}(e^x) = -Li_{3/2}(-e^x) on -ln 2 <= x <= x_top, where
-    mpmath.polylog costs 30-120 ms a call, as the Taylor series about
-    c = x_top / 2.  Its coefficients f_{3/2-m}(e^c) / m! are the eta series
-    sum_j eta(3/2 - m - j) c^j / j! (radius pi), and the series in x - c has
-    radius (c^2 + pi^2)^(1/2), the distance to the poles of f at x = +-i pi.
-    The sums cancel by up to 25 digits, which the guard digits absorb.  The
-    eta series needs c < pi, so x_top < 2 pi."""
-    assert x_top < 2 * mp.pi, x_top
-    digits = mp.mp.dps - 1
-    with mp.workdps(mp.mp.dps + 25):
-        c, tiny = mp.mpf(x_top) / 2, mp.mpf(10) ** -digits
-        reach = c + mp.ln2  # the farthest x from c
-        eta = []
-        coeffs = []
-        while len(coeffs) < 3 or abs(coeffs[-1]) * reach ** (len(coeffs) - 1) > tiny * coeffs[0]:
-            m, acc, j, c_j = len(coeffs), 0, 0, mp.mpf(1)
-            while True:
-                while len(eta) <= m + j:
-                    eta.append(mp.altzeta(mp.mpf(1.5) - len(eta)))
-                term = eta[m + j] * c_j
-                acc += term
-                if j > 5 and abs(term) < tiny * abs(acc):
-                    break
-                j += 1
-                c_j *= c / j
-            coeffs.append(acc / mp.factorial(m))
-    coeffs = [+d for d in reversed(coeffs)]
-    return lambda x: mp.polyval(coeffs, x - c)
+    mpmath.polylog costs 30-120 ms a call, as the Taylor series of the
+    pieces of mp_fd_three_halves_piece that cover that range."""
+    pieces = [mp_fd_three_halves_piece(0, mp.mp.dps)]
+    while sum(pieces[-1][:2]) < x_top:
+        pieces.append(mp_fd_three_halves_piece(len(pieces), mp.mp.dps))
+
+    def core(x):
+        c, _, coeffs = next(p for p in pieces if x <= p[0] + p[1])
+        return mp.polyval(coeffs, x - c)
+    return core
 
 
 def mp_thermal_cloud(stat, n_atoms, a_sc, trap, T):
@@ -819,16 +830,14 @@ class TestPresetReferenceOracle:
             check_rows_against_oracle(config, picked, T, [r[1] for r in picked])
 
     def test_fig1_rows(self):
-        # the lowest and highest T of Bose and Boltzmann.  Fermi needs
-        # beta mu < 2 pi, the reach of mp_fd_three_halves_core, whose series
-        # at 15 digits takes under a second up to beta mu = 3.8 and does not
-        # return within minutes at 4.13 (row 10) or 4.3.  Rows 11 and 63, at
-        # beta mu = 3.74 and -1.88: a density through the fit's pieces on
-        # [2, 6] and [ln 1/2, 2] and the power series, and one through the
-        # series alone
+        # the lowest and highest T of Bose and Boltzmann.  Fermi rows 0, 10,
+        # 11 and 63, at beta mu = 19.2, 4.13, 3.74 and -1.88: the coldest
+        # density, through the fit's pieces on [6, 20], [2, 6] and
+        # [ln 1/2, 2] and the power series, two through the last two pieces
+        # and the series, and one through the series alone
         config, rows = preset_reference("fig1")
         T_c, points = config.scales.T_c, config.sweep.points
-        picked = {Statistics.FERMI: (11, points - 1),
+        picked = {Statistics.FERMI: (0, 10, 11, points - 1),
                   Statistics.BOSE: (0, points - 1), Statistics.BOLTZMANN: (0, points - 1)}
         for stat, indices in picked.items():
             mine = [r for r in rows if r[0] is stat]
@@ -899,6 +908,17 @@ class TestEffectiveGroupVelocity:
             changes.append((voff - von) / voff)
         # larger peak density (lower T) gives the larger shift
         assert changes[0] > changes[1] > 0.0
+
+    @pytest.mark.parametrize("local_field", [True, False])
+    def test_response_bound_once_per_probe(self, na_cloud, monkeypatch, local_field):
+        # alpha is computed per probe, not at every node of the quadratures
+        spec, trap, s = na_cloud
+        calls = []
+        real = optics.polarizability
+        monkeypatch.setattr(optics, "polarizability",
+                            lambda probe: calls.append(probe) or real(probe))
+        effective_group_velocity(spec, trap, na_probe(local_field=local_field), 0.5 * s.T_c)
+        assert 0 < len(calls) <= 3
 
 
 class TestSharedProfile:
