@@ -1,51 +1,8 @@
-"""Slow-light observables for harmonically trapped atomic gases."""
+"""Slow-light observables for harmonically trapped atomic gases.
 
-from .numerics import (
-    BracketError,
-    DEFAULT_TOL,
-    DomainError,
-    NonConvergenceError,
-    NumericTolerances,
-    fermi_dirac_f,
-    find_root,
-    integrate_1d,
-    integrate_cylindrical,
-    polylog,
-)
-from .gas import (
-    CharScales,
-    DensityProfile,
-    GasSpec,
-    Statistics,
-    ThermoPoint,
-    TrapGeometry,
-    UnsupportedStatisticsError,
-    char_scales,
-    condensate_fraction,
-    density,
-    make_profile,
-    mu_bose,
-    mu_classical,
-    solve_mu_fermi,
-    thermal_wavelength,
-)
-from .optics import (
-    LocalFieldPoleError,
-    PinholeError,
-    ProbeParams,
-    PropagationResult,
-    Susceptibility,
-    ZeroDetuningError,
-    delay_time,
-    effective_group_velocity,
-    effective_length,
-    group_velocity_from_dispersion,
-    group_velocity_local,
-    polarizability,
-    susceptibility,
-    transmission,
-    v_g_zero_T,
-)
+Each public name is imported from its module: slowlight.gas (the trap, the
+gas and its density profiles), slowlight.optics (the probe's response and
+the observables), slowlight.numerics (special functions, quadrature, roots)
+and slowlight.cli (the config language, the sweep and its output)."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -408,7 +408,11 @@ def make_profile(
 def density(spec: GasSpec, trap: TrapGeometry, T: float, r: float, z: float) -> float:
     """Number density rho(r, z) at temperature T >= 0 from the cached
     DensityProfile; at T = 0 only its Thomas-Fermi term remains (Bose and
-    Fermi), and a Boltzmann cloud raises UnsupportedStatisticsError."""
+    Fermi), and a Boltzmann cloud raises UnsupportedStatisticsError.  A
+    negative T, and an r or z that is NaN or infinite, raise ValueError."""
     if T < 0.0:
         raise ValueError("density requires T >= 0")
+    for name, value in (("r", r), ("z", z)):
+        if not math.isfinite(value):
+            raise ValueError(f"density needs a finite {name}, got {name}={value}")
     return make_profile(spec, trap, T, DEFAULT_TOL).at(r, z)

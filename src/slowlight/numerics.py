@@ -109,9 +109,12 @@ _EM_OFFSET = 20
 def riemann_zeta(s: float) -> float:
     """Riemann zeta at real s != 1: the Euler-Maclaurin sum for s >= 1/2,
     the functional equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
-    zeta(1-s) below, exact at the zeros s = -2, -4, ... and at s = 0."""
+    zeta(1-s) below, exact at the zeros s = -2, -4, ... and at s = 0.
+    s = 1, NaN and +-inf raise DomainError."""
     if s == 1.0:
         raise DomainError("zeta has a pole at s = 1")
+    if not math.isfinite(s):
+        raise DomainError(f"zeta takes a finite s, got s={s}")
     if s >= 0.5:
         # Euler-Maclaurin: the terms n = 1..20, then the tail at t = 21
         acc = 0.0
@@ -142,7 +145,7 @@ _FD_MAX_INTEGER_ORDER = 2 * len(_ETA_EVEN) + 1
 
 
 def _is_integer(s: float) -> bool:
-    return abs(s - round(s)) < 1e-12
+    return math.isfinite(s) and abs(s - round(s)) < 1e-12
 
 
 def _polylog_series(s: float, z: float) -> float:
@@ -155,6 +158,8 @@ def _polylog_series(s: float, z: float) -> float:
         acc += term
         if abs(term) <= 1e-16 * abs(acc) + 5e-324:
             return acc
+    if s != s:
+        raise DomainError(f"the order of Li_s must be a number, got s={s}")
     raise NonConvergenceError(f"polylog series stalled at s={s}, z={z}")
 
 
@@ -277,7 +282,11 @@ def _fd_sommerfeld(nu: float, x: float) -> float:
 
 def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
     """Li_s(z) = sum_{j>=1} z^j / j^s for real s and -series_cutoff <= z <= 1;
-    further along the negative axis Li_s(z) = -fermi_dirac_f(s, ln(-z))."""
+    further along the negative axis Li_s(z) = -fermi_dirac_f(s, ln(-z)).
+
+    DomainError names the argument it refuses: z outside that range or NaN,
+    Li_1(1), an order s that is NaN, and above z = series_cutoff an order
+    that is not a finite s > 1."""
     if not -tol.series_cutoff <= z <= 1.0:
         raise DomainError(f"polylog takes -{tol.series_cutoff} <= z <= 1, got z={z}; "
                           "below, Li_s(z) is -fermi_dirac_f(s, ln(-z))")
@@ -289,8 +298,8 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
         return -math.log1p(-z)
     if z <= tol.series_cutoff:
         return _polylog_series(s, z)
-    if s <= 1.0:
-        raise DomainError(f"polylog near z=1 requires s > 1, got s={s}")
+    if not 1.0 < s < math.inf:
+        raise DomainError(f"polylog near z=1 requires a finite s > 1, got s={s}")
     return _polylog_near_one(s, z)
 
 
@@ -322,19 +331,26 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
     density) and the integers 1 <= nu <= 25 (columns, moments and the mu
     roots take 2, 3 and 4); any other order is a DomainError.  This is also
     Li_nu(z) for z < -series_cutoff, which polylog refuses.
+
+    x = -inf and +inf give the limits 0 and inf; a NaN nu or x is a
+    DomainError that names it.
     """
     if x <= math.log(tol.series_cutoff):
         return -_polylog_series(nu, -math.exp(x))
-    if _is_integer(nu) and round(nu) <= _FD_MAX_INTEGER_ORDER:
-        return _fd_integer(round(nu), x)
-    if nu != 1.5:
+    if nu == 1.5:
+        if x < SOMMERFELD_SWITCH:
+            return -_polylog_negative_axis(nu, x)
+        if x >= SOMMERFELD_SWITCH:
+            return _fd_sommerfeld(nu, x)
+    elif not (_is_integer(nu) and round(nu) <= _FD_MAX_INTEGER_ORDER):
         raise DomainError(
             "f_nu(e^x) beyond the series region takes nu = 3/2 or an integer "
             f"1 <= nu <= {_FD_MAX_INTEGER_ORDER}, got nu={nu}"
         )
-    if x < SOMMERFELD_SWITCH:
-        return -_polylog_negative_axis(nu, x)
-    return _fd_sommerfeld(nu, x)
+    elif x == x:
+        return _fd_integer(round(nu), x)
+    # only a NaN x fails every comparison above
+    raise DomainError(f"f_nu(e^x) takes a number x, got x={x}")
 
 
 # QUADPACK's qk21 rule (Piessens et al. 1983): the 21 Kronrod abscissae on
@@ -368,7 +384,9 @@ _TINY = sys.float_info.min
 def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: the integral over [a, b] and QUADPACK's error
     estimate, |Kronrod - Gauss| scaled by the integrand's variation and
-    floored at 50 machine epsilons of the integral of |f|."""
+    floored at 50 machine epsilons of the integral of |f|.  A panel whose
+    integral or estimate is not finite raises NonConvergenceError: no
+    bisection can bring a NaN or an infinity within a tolerance."""
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     f_centre = f(centre)
@@ -394,7 +412,12 @@ def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
         err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
     if res_abs > _TINY / (50.0 * _EPS):
         err = max(50.0 * _EPS * res_abs, err)
-    return kronrod * half, err
+    val = kronrod * half
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise NonConvergenceError(
+            f"quadrature failed on [{a}, {b}]: the panel's integral {val} or its "
+            f"error estimate {err} is not finite")
+    return val, err
 
 
 # A result that misses the tolerance when the panel budget runs out (typically
@@ -447,7 +470,11 @@ def integrate_1d(
     tol: NumericTolerances = DEFAULT_TOL,
     points: Sequence[float] | None = None,
 ) -> float:
-    """Adaptive integral of f over [a, b] to rel_tol_quadrature."""
+    """Adaptive integral of f over [a, b] to rel_tol_quadrature.
+
+    Raises DomainError unless a < b, and NonConvergenceError, naming the
+    interval or panel, when the tolerance is out of reach or a panel's
+    integral or error estimate is NaN or infinite."""
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     return _quad(f, a, b, tol.rel_tol_quadrature, points)[0]

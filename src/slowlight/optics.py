@@ -129,8 +129,8 @@ def _response(probe: ProbeParams):
     K = 2.0 * math.pi * probe.omega_0 * alpha / (probe.delta * c_light)
 
     def chi(rho: float) -> tuple[float, float]:
-        if rho < 0.0:
-            raise ValueError("density must be nonnegative")
+        if not rho >= 0.0:
+            raise ValueError(f"density must be nonnegative, got rho={rho}")
         alpha_rho = alpha * rho
         d_loc = 1.0 - factor * alpha_rho
         den = d_loc * d_loc + g * g
@@ -145,15 +145,25 @@ def _response(probe: ProbeParams):
 
 
 def susceptibility(rho: float, probe: ProbeParams) -> Susceptibility:
-    """Clausius-Mossotti response at number density rho."""
+    """Clausius-Mossotti response at number density rho; a negative or NaN
+    rho raises ValueError."""
     _, chi, _ = _response(probe)
     return Susceptibility(*chi(rho))
 
 
 def group_velocity_local(rho: float, probe: ProbeParams) -> float:
     """Local group velocity of the dispersive response, c / (1 + c K rho /
-    (1 - b rho)^2) with the excess slowness of _response."""
-    _, _, excess = _response(probe)
+    (1 - b rho)^2) with the excess slowness of _response.
+
+    A density that is negative, NaN or infinite raises ValueError, and one at
+    or past the Lorentz-Lorenz pole, b rho >= 1, LocalFieldPoleError, as
+    delay_time does for a cloud whose peak density reaches it."""
+    b, _, excess = _response(probe)
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"density must be finite and nonnegative, got rho={rho}")
+    if b * rho >= 1.0:
+        raise LocalFieldPoleError(
+            f"local-field pole: (4 pi/3) alpha rho = {b * rho:.6g} >= 1")
     return c_light / (1.0 + c_light * excess(rho))
 
 

@@ -857,3 +857,16 @@ class TestRecords:
         with pytest.raises(AttributeError):
             setattr(a, field, 1.0)
         assert a == b
+
+
+class TestPackage:
+    def test_import_loads_no_module_and_exports_no_name(self):
+        # each public name is imported from its module; the package's
+        # __init__ holds only its docstring and __version__
+        code = ("import sys, slowlight\n"
+                "print(sorted(m for m in sys.modules if m.startswith('slowlight.')),\n"
+                "      sorted(n for n in vars(slowlight) if not n.startswith('_')))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[] []\n"

@@ -562,3 +562,29 @@ class TestValidation:
         spec, trap, _ = na_cloud
         with pytest.raises(ValueError):
             density(spec, trap, -1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("refusal,message", [
+        (lambda s: GasSpec(Statistics.FERMI, 1e6, MASS_NA, -1e-9), "scattering length must be >= 0"),
+        (lambda s: thermal_wavelength(MASS_NA, 0.0), "thermal wavelength requires T > 0"),
+        (lambda s: mu_classical(0.0, s), "mu_classical requires T > 0"),
+        (lambda s: solve_mu_fermi(-1.0, s), "solve_mu_fermi requires T > 0"),
+        (lambda s: condensate_fraction(-1e-12 * s.T_c, s), r"requires 0 <= T <= T_c"),
+        (lambda s: condensate_fraction(1.01 * s.T_c, s), r"requires 0 <= T <= T_c"),
+        (lambda s: mu_bose(-1.0, s), "mu_bose requires T >= 0"),
+    ], ids=["a_sc", "thermal_wavelength", "mu_classical", "solve_mu_fermi",
+            "condensate_fraction-below", "condensate_fraction-above", "mu_bose"])
+    def test_refusal_names_its_rule(self, na_cloud, refusal, message):
+        with pytest.raises(ValueError, match=message):
+            refusal(na_cloud[2])
+
+    @pytest.mark.parametrize("stat,unit", [(Statistics.FERMI, "T_F"), (Statistics.BOSE, "T_c")])
+    @pytest.mark.parametrize("name", ["r", "z"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_density_position_must_be_finite(self, na_cloud, stat, unit, name, bad):
+        # a Fermi cloud once returned NaN at r = NaN and a Bose cloud blamed
+        # polylog's z; at r = inf both returned 0
+        spec, trap, s = na_cloud
+        gspec = GasSpec(stat, spec.n_atoms, spec.mass, spec.a_sc)
+        position = {"r": 0.0, "z": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"density needs a finite {name}, got {name}={bad}"):
+            density(gspec, trap, 0.5 * getattr(s, unit), **position)

@@ -106,6 +106,16 @@ class TestPolylog:
         with pytest.raises(DomainError):
             polylog(1.0, 1.0)
 
+    @pytest.mark.parametrize("s,z,message", [
+        (0.5, 0.7, "requires a finite s > 1, got s=0.5"),
+        (math.nan, 0.7, "requires a finite s > 1, got s=nan"),
+        (math.inf, 0.7, "requires a finite s > 1, got s=inf"),
+        (math.nan, 0.3, "order of Li_s must be a number, got s=nan"),
+    ])
+    def test_domain_errors_name_the_order(self, s, z, message):
+        with pytest.raises(DomainError, match=message):
+            polylog(s, z)
+
     def test_order_one_is_a_logarithm(self):
         assert polylog(1.0, 0.3) == pytest.approx(-math.log(0.7), rel=1e-14, abs=0.0)
 
@@ -198,6 +208,24 @@ class TestFermiDirac:
     def test_integer_order_below_one_is_a_domain_error(self, nu, x):
         with pytest.raises(DomainError, match=f"order must be >= 1, got {round(nu)}"):
             fermi_dirac_f(nu, x)
+
+    @pytest.mark.parametrize("nu,x,message", [
+        (1.5, math.nan, "got x=nan"),
+        (1.0, math.nan, "got x=nan"),
+        (3.0, math.nan, "got x=nan"),
+        (math.nan, 1.0, "got nu=nan"),
+        (math.inf, 1.0, "got nu=inf"),
+        (-math.inf, 30.0, "got nu=-inf"),
+        (math.nan, -5.0, "order of Li_s must be a number, got s=nan"),
+    ])
+    def test_not_a_number_is_a_domain_error_naming_it(self, nu, x, message):
+        with pytest.raises(DomainError, match=message):
+            fermi_dirac_f(nu, x)
+
+    @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 3.0])
+    def test_infinite_argument_gives_the_limits(self, nu):
+        assert fermi_dirac_f(nu, -math.inf) == 0.0
+        assert fermi_dirac_f(nu, math.inf) == math.inf
 
     def test_branch_overlap_window(self):
         # the asymptotic branch stays within the quadrature tolerance of the
@@ -391,6 +419,30 @@ class TestIntegrate1d:
         with pytest.raises(NonConvergenceError, match=message):
             integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
 
+    def test_panel_that_cannot_be_bisected_names_interval(self):
+        # a step inside one ulp: the panel [1, 1 + ulp] has no midpoint
+        b = math.nextafter(1.0, 2.0)
+        message = r"\[1\.0, 1\.0000000000000002\]: The panel with the largest error cannot be"
+        with pytest.raises(NonConvergenceError, match=message):
+            integrate_1d(lambda x: 1.0 if x == 1.0 else -1.0, 1.0, b)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("points,panel", [(None, r"\[0\.0, 1\.0\]"),
+                                              ((0.5,), r"\[0\.5, 1\.0\]")],
+                             ids=["one-panel", "breakpoint"])
+    def test_non_finite_panel_raises_naming_it(self, value, points, panel):
+        # NaN compares false with every tolerance, so the loop once bisected it
+        # to the panel budget and returned NaN; an infinity came back as the value
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return value if x > 0.5 else x
+
+        with pytest.raises(NonConvergenceError, match=panel + ": .* is not finite"):
+            integrate_1d(f, 0.0, 1.0, points=points)
+        assert len(calls) <= 42  # at most the two panels of the breakpoint
+
     @pytest.mark.parametrize("f,a,b,points", [
         (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 4.0, None),
         (lambda x: math.sqrt(x) * math.log1p(x), 0.0, 3.0, None),
@@ -416,6 +468,26 @@ class TestIntegrateCylindrical:
         r_max, z_max = 2.0, 3.0
         got = integrate_cylindrical(lambda r, z: 1.0, r_max, z_max)
         assert got == pytest.approx(2.0 * math.pi * r_max**2 * z_max, rel=1e-9)
+
+    def test_extent_must_be_positive(self):
+        for r_max, z_max in ((0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(DomainError, match="r_max and z_max must be positive"):
+                integrate_cylindrical(lambda r, z: 1.0, r_max, z_max)
+
+    def test_non_finite_integrand_raises_at_once(self):
+        # the nested loops once bisected a NaN column to the panel budget at
+        # every outer node, tens of millions of calls; the counter stops that
+        calls = [0]
+
+        def f(r, z):
+            calls[0] += 1
+            if calls[0] > 10_000:
+                raise RuntimeError("integrand called past 10,000 times")
+            return math.nan
+
+        with pytest.raises(NonConvergenceError, match=r"quadrature failed on \[0\.0, 1\.0\]"):
+            integrate_cylindrical(f, 1.0, 1.0, NumericTolerances(1e-3))
+        assert calls[0] <= 21  # one panel
 
     def test_gaussian_factorizes(self):
         got = integrate_cylindrical(
@@ -514,6 +586,15 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+    def test_bracket_must_be_ordered(self, lo, hi):
+        with pytest.raises(BracketError, match=r"need lo < hi"):
+            find_root(lambda x: x - 1.5, lo, hi)
+
+    def test_root_at_either_end_is_returned(self):
+        assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert find_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_positive_rescaling(self, scale):
@@ -554,6 +635,12 @@ class TestRiemannZeta:
     def test_pole(self):
         with pytest.raises(DomainError):
             riemann_zeta(1.0)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_is_a_domain_error_naming_it(self, s):
+        # NaN once recursed through the functional equation without end
+        with pytest.raises(DomainError, match=f"got s={s}"):
+            riemann_zeta(s)
 
 
 class TestTolerances:

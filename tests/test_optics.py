@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 import sys
 import threading
 import warnings
@@ -16,7 +17,8 @@ from scipy.constants import c as c_light, h, hbar, k as k_B
 from slowlight import optics
 from slowlight.cli import parse_config, preset_text
 from slowlight.gas import (
-    GasSpec, Statistics, TrapGeometry, char_scales, density, make_profile, mu_bose,
+    GasSpec, Statistics, TrapGeometry, UnsupportedStatisticsError, char_scales, density,
+    make_profile, mu_bose,
 )
 from slowlight.numerics import DEFAULT_TOL, NumericTolerances, integrate_cylindrical
 from slowlight.optics import (
@@ -117,6 +119,18 @@ class TestPolarizability:
         with pytest.warns(UserWarning):
             na_probe(2.0)
 
+    @pytest.mark.parametrize("field,message", [
+        ("omega_0", "omega_0 and gamma must be positive"),
+        ("gamma", "omega_0 and gamma must be positive"),
+        ("pinhole_R", "pinhole radius must be positive"),
+    ])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_rejected_by_rule(self, field, message, bad):
+        fields = dict(omega_0=OMEGA_0, gamma=GAMMA, delta=10.0 * GAMMA, pinhole_R=7.5e-6)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=message):
+            ProbeParams(**fields)
+
     @pytest.mark.parametrize("flag", ["off", "False", 0, 1, None])
     def test_local_field_flag_must_be_a_bool(self, flag):
         # a truthy "off" would turn the local field on
@@ -152,6 +166,24 @@ class TestSusceptibility:
         without = susceptibility(rho, na_probe(local_field=False))
         assert with_lf.chi_re > without.chi_re
 
+    @pytest.mark.parametrize("rho", [-1e20, -5e-324, math.nan])
+    def test_negative_or_nan_density_refused(self, rho):
+        # NaN once passed the check rho < 0 and came back as (nan, nan)
+        with pytest.raises(ValueError, match=re.escape(f"density must be nonnegative, got rho={rho}")):
+            susceptibility(rho, na_probe())
+
+    def test_resonant_denominator_underflow(self):
+        # g = gamma / (2 Delta) = 5e-161, and rho one ulp from the pole makes
+        # 1 - (4 pi / 3) alpha rho exactly 0: the denominator is g^2, below 1e-300
+        probe = ProbeParams(OMEGA_0, GAMMA, 1e160 * GAMMA, 7.5e-6)
+        alpha, factor = polarizability(probe), 4.0 * math.pi / 3.0
+        rho = 1.0 / (factor * alpha)
+        while 1.0 - factor * (alpha * rho) > 0.0:
+            rho = math.nextafter(rho, math.inf)
+        assert 1.0 - factor * (alpha * rho) == 0.0
+        with pytest.raises(ZeroDivisionError, match="resonant denominator underflow"):
+            susceptibility(rho, probe)
+
 
 class TestGroupVelocityLocal:
     def test_vacuum_is_c(self):
@@ -180,6 +212,25 @@ class TestGroupVelocityLocal:
             closed = group_velocity_local(rho, probe)
             derivative = group_velocity_from_dispersion(rho, probe)
             assert derivative == pytest.approx(closed, rel=1e-2)
+
+    @pytest.mark.parametrize("rho", [-1e20, math.nan, math.inf])
+    def test_density_must_be_finite_and_nonnegative(self, rho):
+        # -1e20 once gave -1601.6 m/s, and NaN gave NaN
+        with pytest.raises(ValueError, match=re.escape(f"finite and nonnegative, got rho={rho}")):
+            group_velocity_local(rho, na_probe())
+
+    @pytest.mark.parametrize("x", [1.0, 2.0])
+    def test_density_past_the_local_field_pole_refused(self, x):
+        # b rho = 2 once gave 19.69 m/s, where delay_time refuses the cloud
+        probe = na_probe()
+        b = 4.0 * math.pi / 3.0 * polarizability(probe)
+        rho = x / b
+        while b * rho < 1.0:
+            rho = math.nextafter(rho, math.inf)
+        with pytest.raises(LocalFieldPoleError, match="local-field pole"):
+            group_velocity_local(rho, probe)
+        # with the local field off the same density has no pole
+        assert 0.0 < group_velocity_local(rho, na_probe(local_field=False)) < c_light
 
 
 class TestEffectiveLength:
@@ -983,6 +1034,13 @@ class TestZeroTemperatureClosedForms:
         with pytest.raises(PinholeError):
             v_g_zero_T(Statistics.BOSE, s, na_probe(pinhole=1.05 * s.R_B))
 
+    def test_refusals_name_the_cloud(self, na_cloud):
+        _, _, s = na_cloud
+        with pytest.raises(PinholeError, match="pinhole exceeds the Fermi radius"):
+            v_g_zero_T(Statistics.FERMI, s, na_probe(pinhole=1.05 * s.R_F))
+        with pytest.raises(UnsupportedStatisticsError, match="needs Bose or Fermi"):
+            v_g_zero_T(Statistics.BOLTZMANN, s, na_probe())
+
     def test_atom_number_scaling(self, na_cloud):
         # pinhole tied to the cloud radius: v ~ N^(-2/5) Bose, N^(-1/2) Fermi
         spec, trap, _ = na_cloud
@@ -1012,3 +1070,18 @@ class TestZeroTemperatureClosedForms:
             ratios.append((L / t_d) / v_g_zero_T(Statistics.BOSE, s, probe))
         mean = sum(ratios) / len(ratios)
         assert max(abs(r / mean - 1.0) for r in ratios) < 0.01
+
+
+class TestReadmeLibraryUse:
+    def test_example_runs_from_the_modules(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        # each name comes from its module: the package re-exports none
+        assert "from slowlight import" not in code
+        namespace = {}
+        exec(compile(code, str(readme), "exec"), namespace)
+        result = namespace["result"]
+        assert 0.0 < result.v_g_eff < c_light
+        assert 0.0 < result.transmission <= 1.0
+        assert capsys.readouterr().out == f"{result.v_g_eff} {result.transmission}\n"
