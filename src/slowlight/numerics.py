@@ -158,8 +158,6 @@ def _polylog_series(s: float, z: float) -> float:
         acc += term
         if abs(term) <= 1e-16 * abs(acc) + 5e-324:
             return acc
-    if s != s:
-        raise DomainError(f"the order of Li_s must be a number, got s={s}")
     raise NonConvergenceError(f"polylog series stalled at s={s}, z={z}")
 
 
@@ -285,8 +283,8 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
     further along the negative axis Li_s(z) = -fermi_dirac_f(s, ln(-z)).
 
     DomainError names the argument it refuses: z outside that range or NaN,
-    Li_1(1), an order s that is NaN, and above z = series_cutoff an order
-    that is not a finite s > 1."""
+    Li_1(1), an order s that is NaN or -inf, and above z = series_cutoff an
+    order that is not a finite s > 1."""
     if not -tol.series_cutoff <= z <= 1.0:
         raise DomainError(f"polylog takes -{tol.series_cutoff} <= z <= 1, got z={z}; "
                           "below, Li_s(z) is -fermi_dirac_f(s, ln(-z))")
@@ -297,6 +295,10 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
             raise DomainError("Li_1 diverges at z = 1")
         return -math.log1p(-z)
     if z <= tol.series_cutoff:
+        # the series divides by j^s: a NaN order would spend its term budget,
+        # and -inf divides by j^-inf = 0 (+inf gives the limit Li_inf(z) = z)
+        if not s > -math.inf:
+            raise DomainError(f"the order of Li_s must be a number, got s={s}")
         return _polylog_series(s, z)
     if not 1.0 < s < math.inf:
         raise DomainError(f"polylog near z=1 requires a finite s > 1, got s={s}")
@@ -332,10 +334,12 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
     roots take 2, 3 and 4); any other order is a DomainError.  This is also
     Li_nu(z) for z < -series_cutoff, which polylog refuses.
 
-    x = -inf and +inf give the limits 0 and inf; a NaN nu or x is a
-    DomainError that names it.
+    x = -inf and +inf give the limits 0 and inf; a NaN nu or x, and
+    nu = -inf, is a DomainError that names it.
     """
     if x <= math.log(tol.series_cutoff):
+        if not nu > -math.inf:  # as in polylog
+            raise DomainError(f"the order of Li_s must be a number, got s={nu}")
         return -_polylog_series(nu, -math.exp(x))
     if nu == 1.5:
         if x < SOMMERFELD_SWITCH:

@@ -16,17 +16,18 @@ velocity, t_d and the transmission.
 Observables, all per unit cloud at temperature T:
   effective_length          L = [ (1/N) int z^2 rho dV ]^(1/2)
   delay_time                pinhole average of the excess slowness
-                            (1/v_g - 1/c) along the axis
+                            1/v_g - 1/c = K rho / (1 - b rho)^2 along the axis
   effective_group_velocity  L over the total transit time
   transmission              exp of the pinhole-averaged absorbance over
                             the central +-L/2 window
 
 L is closed-form for every statistics and temperature (the profile's axial
-moment, DensityProfile.axial_moment), and so is t_d with the local field
-off, where the excess slowness is linear in rho and only the pinhole column
-(DensityProfile.pinhole_column) enters; for a pinhole far narrower than the
-thermal cloud that column is one short 1-D integral.  t_d with the local
-field on and the transmission are nonlinear in rho and stay adaptive
+moment, DensityProfile.axial_moment).  t_d is one formula for both
+local-field settings: the part of the excess slowness linear in rho, K rho,
+averages to K times the closed-form pinhole column
+(DensityProfile.pinhole_column), and the local field adds the remainder
+K rho y (2 - y) / (1 - y)^2, y = b rho, which is zero when b = 0.  The
+remainder and the transmission are nonlinear in rho, and they are the only
 quadratures, one 1-D integral over shells each (_pinhole_integral): in the
 scaled coordinates s = (x, y, eps z) the LDA density depends on |s| alone.
 """
@@ -118,13 +119,13 @@ def polarizability(probe: ProbeParams) -> float:
 
 
 def _response(probe: ProbeParams):
-    """(b, chi, excess), bound once per probe: b = (4 pi / 3) alpha is the
-    local-field strength (0 with the local field off), chi(rho) = (chi', chi''),
-    and excess(rho) = K rho / (1 - b rho)^2, K = 2 pi omega_0 alpha / (Delta c),
-    is 1/v_g - 1/c without the difference, which rounds to a staircase."""
+    """(b, K, chi), bound once per probe: b = (4 pi / 3) alpha is the
+    local-field strength (0 with the local field off), K = 2 pi omega_0 alpha
+    / (Delta c) the linear excess slowness per density, so that 1/v_g - 1/c
+    = K rho / (1 - b rho)^2, and chi(rho) = (chi', chi'') the susceptibility,
+    which refuses a negative or NaN density."""
     alpha = polarizability(probe)
     factor = 4.0 * math.pi / 3.0 if probe.local_field_on else 0.0
-    b = factor * alpha
     g = probe.gamma / (2.0 * probe.delta)
     K = 2.0 * math.pi * probe.omega_0 * alpha / (probe.delta * c_light)
 
@@ -138,33 +139,33 @@ def _response(probe: ProbeParams):
             raise ZeroDivisionError("resonant denominator underflow in susceptibility")
         return alpha_rho * d_loc / den, abs(alpha_rho * g) / den
 
-    def excess(rho: float) -> float:
-        return K * rho / (1.0 - b * rho) ** 2
-
-    return b, chi, excess
+    return factor * alpha, K, chi
 
 
 def susceptibility(rho: float, probe: ProbeParams) -> Susceptibility:
-    """Clausius-Mossotti response at number density rho; a negative or NaN
-    rho raises ValueError."""
-    _, chi, _ = _response(probe)
+    """Clausius-Mossotti response at number density rho; a density that is
+    negative, NaN or infinite raises ValueError."""
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"density must be finite and nonnegative, got rho={rho}")
+    _, _, chi = _response(probe)
     return Susceptibility(*chi(rho))
 
 
 def group_velocity_local(rho: float, probe: ProbeParams) -> float:
     """Local group velocity of the dispersive response, c / (1 + c K rho /
-    (1 - b rho)^2) with the excess slowness of _response.
+    (1 - b rho)^2) with b and K of _response.
 
     A density that is negative, NaN or infinite raises ValueError, and one at
     or past the Lorentz-Lorenz pole, b rho >= 1, LocalFieldPoleError, as
     delay_time does for a cloud whose peak density reaches it."""
-    b, _, excess = _response(probe)
+    b, K, _ = _response(probe)
     if not 0.0 <= rho < math.inf:
         raise ValueError(f"density must be finite and nonnegative, got rho={rho}")
     if b * rho >= 1.0:
         raise LocalFieldPoleError(
             f"local-field pole: (4 pi/3) alpha rho = {b * rho:.6g} >= 1")
-    return c_light / (1.0 + c_light * excess(rho))
+    # 1/v_g - 1/c written out, not the difference, which rounds to a staircase
+    return c_light / (1.0 + c_light * (K * rho / (1.0 - b * rho) ** 2))
 
 
 def group_velocity_from_dispersion(rho: float, probe: ProbeParams) -> float:
@@ -251,26 +252,33 @@ def _pinhole_integral(
 def _delay_of_profile(
     prof, probe: ProbeParams, tol: NumericTolerances
 ) -> float:
-    # Pinhole-averaged excess delay; the vacuum transit cancels in the excess
-    # slowness, so the axial window only needs to cover the cloud.
+    # Pinhole average of the excess slowness K rho / (1 - y)^2, y = b rho: K
+    # times the closed-form pinhole column, plus the local field's remainder
+    # K rho y (2 - y) / (1 - y)^2, the one quadrature.
     R = probe.pinhole_R
-    b, _, excess = _response(probe)
-    if not probe.local_field_on:
-        # Without the local-field denominator the excess slowness is linear
-        # in rho, so the average needs only the atoms in the pinhole column.
-        return excess(prof.pinhole_column(R)) / (math.pi * R * R)
-
+    b, K, _ = _response(probe)
     # the density peaks at the trap centre, so 1 - (4 pi / 3) alpha rho stays
     # positive throughout the cloud exactly when it does there
-    x_peak = b * prof.peak()
+    x_peak = b * prof.peak() if b else 0.0
     if x_peak >= 1.0:
         raise LocalFieldPoleError(
             f"local-field pole: x_peak = (4 pi/3) alpha rho(0, 0) = {x_peak:.6g} >= 1; "
             "x_peak grows with gas.atom_count and falls with probe.detuning_gamma"
         )
+    t_d = K * prof.pinhole_column(R)
+    if x_peak:
+        def remainder(rho: float) -> float:
+            y = b * rho
+            return K * rho * y * (2.0 - y) / (1.0 - y) ** 2
 
-    W = prof.trap.epsilon * prof.z_cut
-    return _pinhole_integral(excess, prof, R, W, tol) / (math.pi * R * R)
+        # the remainder's share of the total, y (2 - y) at each node, is at most
+        # |x_peak (2 - x_peak)| at both signs of x_peak, so the sum meets
+        # rel_tol_quadrature; the cap at 1 keeps a tiny x_peak's tolerance finite
+        share = abs(x_peak * (2.0 - x_peak))
+        rem_tol = NumericTolerances(min(tol.rel_tol_quadrature / share, 1.0))
+        W = prof.trap.epsilon * prof.z_cut  # the window covers the cloud
+        t_d += _pinhole_integral(remainder, prof, R, W, rem_tol)
+    return t_d / (math.pi * R * R)
 
 
 def _checked_profile(
@@ -301,7 +309,7 @@ def _transmission_of_profile(
     prof, probe: ProbeParams, L: float, tol: NumericTolerances
 ) -> float:
     R = probe.pinhole_R
-    _, chi, _ = _response(probe)
+    _, _, chi = _response(probe)
     W = prof.trap.epsilon * min(0.5 * L, prof.z_cut)
     integral = _pinhole_integral(lambda rho: chi(rho)[1], prof, R, W, tol)
     alpha_T = -2.0 * probe.omega_0 / c_light * integral / (math.pi * R * R)

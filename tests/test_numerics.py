@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import zeta as scipy_zeta
 
+from slowlight import numerics
 from slowlight.numerics import (
     DEFAULT_TOL,
     BracketError,
@@ -115,6 +117,20 @@ class TestPolylog:
     def test_domain_errors_name_the_order(self, s, z, message):
         with pytest.raises(DomainError, match=message):
             polylog(s, z)
+
+    @pytest.mark.parametrize("s", [math.nan, -math.inf])
+    def test_order_refused_before_the_series(self, monkeypatch, s):
+        # -inf once divided by j^-inf = 0 in the series, and NaN was named only
+        # after it had spent the series' term budget
+        def series(*args):
+            raise AssertionError(f"the series ran at {args}")
+
+        monkeypatch.setattr(numerics, "_polylog_series", series)
+        message = re.escape(f"order of Li_s must be a number, got s={s}")
+        with pytest.raises(DomainError, match=message):
+            polylog(s, 0.3)
+        with pytest.raises(DomainError, match=message):
+            fermi_dirac_f(s, -5.0)
 
     def test_order_one_is_a_logarithm(self):
         assert polylog(1.0, 0.3) == pytest.approx(-math.log(0.7), rel=1e-14, abs=0.0)

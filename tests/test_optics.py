@@ -84,6 +84,13 @@ class UniformBall:
     def peak(self):
         return self.rho
 
+    def pinhole_column(self, R):
+        # the ball's (4 pi / 3)[S^3 - (S^2 - R^2)^(3/2)] / eps of volume inside
+        # the cylinder r < R
+        S = self.tf_radius
+        cap = max(S * S - R * R, 0.0) ** 1.5
+        return self.rho * (4.0 * math.pi / 3.0) * (S**3 - cap) / self.trap.epsilon
+
 
 class TestPolarizability:
     def test_reference_value(self):
@@ -166,10 +173,14 @@ class TestSusceptibility:
         without = susceptibility(rho, na_probe(local_field=False))
         assert with_lf.chi_re > without.chi_re
 
-    @pytest.mark.parametrize("rho", [-1e20, -5e-324, math.nan])
+    @pytest.mark.parametrize("rho", [-1e20, -5e-324, math.nan, math.inf])
     def test_negative_or_nan_density_refused(self, rho):
-        # NaN once passed the check rho < 0 and came back as (nan, nan)
-        with pytest.raises(ValueError, match=re.escape(f"density must be nonnegative, got rho={rho}")):
+        # NaN once passed the check rho < 0 and came back as (nan, nan), and
+        # so did inf, with the local field on and off
+        message = re.escape(f"density must be finite and nonnegative, got rho={rho}")
+        with pytest.raises(ValueError, match=message):
+            susceptibility(rho, na_probe(local_field=False))
+        with pytest.raises(ValueError, match=message):
             susceptibility(rho, na_probe())
 
     def test_resonant_denominator_underflow(self):
@@ -257,6 +268,9 @@ class TestDelayTime:
     def test_vacuum_zero_delay(self):
         ball = UniformBall(0.0, 30e-6)
         assert _delay_of_profile(ball, na_probe(), DEFAULT_TOL) == 0.0
+        # x_peak = 2.6e-322: the remainder's tolerance 1e-8 / |x_peak (2 - x_peak)|
+        # overflowed to inf, which the tolerance record refuses
+        assert _delay_of_profile(UniformBall(1e-300, 30e-6), na_probe(), DEFAULT_TOL) == 0.0
 
     def test_homogeneous_slab_closed_form(self):
         # the ball holds (4 pi / 3)[S^3 - (S^2 - R^2)^(3/2)] / eps of volume
@@ -347,6 +361,36 @@ class TestDelayTime:
             _delay_of_profile(UniformBall(1.01 * rho_pole, 25e-6), probe, DEFAULT_TOL)
         ball = UniformBall(0.99 * rho_pole, 25e-6)
         assert _delay_of_profile(ball, probe, DEFAULT_TOL) > 0.0
+
+    @pytest.mark.parametrize("stat,n_atoms,delta_gamma,x_peak", [
+        # one ulp past x = -1: a remainder tolerance taken from the bound
+        # |x| (2 + |x|) / (1 - |x|)^2 is 1.6e-40 here, and the quadrature
+        # raised NonConvergenceError
+        (Statistics.BOLTZMANN, 2.6900903623426212e10, -3.0, -1.0000000000000002),
+        (Statistics.BOSE, 3e9, -3.0, -1.5222274417142538),
+        (Statistics.BOLTZMANN, 2.5e10, 3.0, 0.9640211675606849),
+    ])
+    def test_local_field_remainder_meets_the_tolerance(self, na_cloud, stat, n_atoms, delta_gamma,
+                                                       x_peak):
+        # t_d is K times the pinhole column plus the local-field remainder,
+        # integrated to rel_tol / |x_peak (2 - x_peak)|: the sum meets
+        # rel_tol at both signs of the detuning
+        spec, trap, _ = na_cloud
+        gspec = GasSpec(stat, n_atoms, spec.mass, spec.a_sc)
+        T = 0.5 * char_scales(gspec, trap).T_c
+        probe = na_probe(delta_gamma)
+        prof = make_profile(gspec, trap, T)
+        alpha = polarizability(probe)
+        b = (4.0 * math.pi / 3.0) * alpha
+        assert b * prof.peak() == pytest.approx(x_peak, rel=1e-12, abs=0.0)
+        K = 2.0 * math.pi * OMEGA_0 * alpha / (probe.delta * c_light)
+        R = probe.pinhole_R
+        oracle = integrate_cylindrical(
+            lambda r, z: K * prof.at(r, z) / (1.0 - b * prof.at(r, z)) ** 2,
+            R, prof.z_cut, NumericTolerances(1e-10),
+            z_breakpoints=prof.z_breakpoints, r_breakpoints=(prof.tf_radius,),
+        ) / (math.pi * R * R)
+        assert delay_time(gspec, trap, probe, T) == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
     def test_pinhole_wider_than_condensate(self, na_cloud):
         # N = 1.84e5 at 0.0372 T_c: R_c = 10.05 um inside a 38.3 um pinhole.
@@ -895,6 +939,107 @@ class TestPresetReferenceOracle:
             for i in indices:
                 check_rows_against_oracle(config, [mine[i]], mine[i][1] * T_c,
                                           [config.probe.delta / config.probe.gamma])
+
+
+def boltzmann_closed_form(n_atoms, trap, T, delta_gamma, pinhole, local_field=True):
+    """(L, t_d, ln transmission) of a Boltzmann cloud of sodium atoms in
+    closed form, with no quadrature and none of the program's functions.
+
+    rho(s) = rho_0 e^(-a s^2) in the scaled radius s, a = M omega_r^2 / 2 k_B T
+    and rho_0 = N eps (a / pi)^(3/2), so L = 1 / (eps sqrt(2 a)) and rho^m is
+    again a Gaussian, whose integral over the pinhole cylinder r < R and the
+    window |eps z| < W is
+
+        G_m(W) = (pi / m a) (1 - e^(-m a R^2)) sqrt(pi / m a) erf(sqrt(m a) W) / eps.
+
+    With y = b rho, 1 / (1 - y)^2 = sum_k (k + 1) y^k and
+    1 / ((1 - y)^2 + g^2) = sum_k d_k y^k, d_k = Im[(1 - i g)^-(k+1)] / g, so
+
+        t_d  =  K rho_0 sum_k (k + 1) x^k G_(k+1)(inf) / pi R^2,
+        ln T = -(2 omega_0 / c) |alpha g| rho_0 sum_k d_k x^k G_(k+1)(eps L / 2) / pi R^2,
+
+    x = b rho_0 = x_peak.  The sums stop at the first k with
+    (k + 1) |x|^k < 1e-20: |d_k| <= k + 1 and G_m falls with m, so for
+    |x| <= 0.9 the terms left out add less than 1e-18 of the first one.  The
+    series diverge at |x| = 1, and the helper takes only |x| <= 0.9."""
+    with mp.workdps(20):
+        eps, kT = mp.mpf(trap.epsilon), k_B * mp.mpf(T)
+        a = mp.mpf(MASS_NA) * mp.mpf(trap.omega_r) ** 2 / (2 * kT)
+        rho_0 = n_atoms * eps * (a / mp.pi) ** 1.5
+        L = 1 / (eps * mp.sqrt(2 * a))
+        R, c, omega_0, gamma = mp.mpf(pinhole), mp.mpf(c_light), mp.mpf(OMEGA_0), mp.mpf(GAMMA)
+        delta = delta_gamma * gamma
+        alpha = 3 * gamma / (4 * (omega_0 / c) ** 3 * delta)
+        g = gamma / (2 * delta)
+        x = 4 * mp.pi / 3 * alpha * rho_0 if local_field else mp.mpf(0)
+        assert abs(x) <= 0.9, x
+        terms = 1
+        while (terms + 1) * abs(x) ** terms >= 1e-20:
+            terms += 1
+
+        def gaussians(coefficient, W):
+            total = 0
+            for k in range(terms):
+                ma = (k + 1) * a
+                column = mp.pi / ma * -mp.expm1(-ma * R * R) / eps
+                total += coefficient(k) * x**k * column * mp.sqrt(mp.pi / ma) * mp.erf(mp.sqrt(ma) * W)
+            return rho_0 * total / (mp.pi * R * R)
+
+        K = 2 * mp.pi * omega_0 * alpha / (delta * c)
+        t_d = K * gaussians(lambda k: k + 1, mp.inf)
+        w = 1 / mp.mpc(1, -g)
+        ln_T = -2 * omega_0 / c * abs(alpha * g) * gaussians(
+            lambda k: (w ** (k + 1)).imag / g, eps * L / 2)
+        return float(L), float(t_d), float(ln_T)
+
+
+class TestBoltzmannClosedForm:
+    """L, t_d and ln(transmission) of Boltzmann clouds against
+    boltzmann_closed_form at 1e-9: every Boltzmann row of the fig1, fig2 and
+    benchmark references, and a cloud near the local-field pole at both
+    signs of the detuning, with the local field on and off."""
+
+    @staticmethod
+    def check(row, expected):
+        (L, t_d, trans), (L_cf, t_d_cf, ln_T_cf) = row, expected
+        assert L == pytest.approx(L_cf, rel=1e-9, abs=0.0)
+        assert t_d == pytest.approx(t_d_cf, rel=1e-9, abs=0.0)
+        assert math.log(trans) == pytest.approx(ln_T_cf, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_preset_rows(self, name):
+        config, rows = preset_reference(name)
+        T_c, probe = config.scales.T_c, config.probe
+        mine = [r for r in rows if r[0] is Statistics.BOLTZMANN]
+        assert len(mine) == config.sweep.points
+        for _, x, L, t_d, _, trans in mine:
+            if name == "fig1":  # x is T / T_c
+                T, delta_gamma = x * T_c, probe.delta / probe.gamma
+            else:  # x is the detuning in gamma
+                T, delta_gamma = config.sweep.temperature * T_c, x
+            self.check((L, t_d, trans), boltzmann_closed_form(
+                config.gas.n_atoms, config.trap, T, delta_gamma, probe.pinhole_R))
+
+    def test_benchmark_rows(self, na_cloud):
+        # T from the run's T_c: wl.kelvin takes hbar to 10 digits, 6e-10 off
+        _, trap, s = na_cloud
+        wl, rows = benchmark_workload("dsweep")
+        mine = [r for r in rows if r[0] == "boltzmann"]
+        assert len(mine) == wl.points and wl.local_field
+        for _, x, L, t_d, _, trans in mine:
+            self.check((L, t_d, trans), boltzmann_closed_form(
+                3.8e6, trap, wl.temperature * s.T_c, x, 7.5e-6))
+
+    @pytest.mark.parametrize("delta_gamma", [3.0, -3.0])
+    @pytest.mark.parametrize("local_field", [True, False])
+    def test_near_the_pole(self, na_cloud, delta_gamma, local_field):
+        # 1e10 atoms at T_c / 2: x_peak = +-0.61 with the local field on
+        spec, trap, _ = na_cloud
+        cloud = GasSpec(Statistics.BOLTZMANN, 1e10, spec.mass)
+        T = 0.5 * char_scales(cloud, trap).T_c
+        got = effective_group_velocity(cloud, trap, na_probe(delta_gamma, local_field=local_field), T)
+        self.check((got.L, got.t_d, got.transmission),
+                   boltzmann_closed_form(1e10, trap, T, delta_gamma, 7.5e-6, local_field))
 
 
 class TestEffectiveGroupVelocity:
