@@ -323,6 +323,12 @@ def _sweep_point(config: RunConfig, stat: Statistics, x: float) -> SweepRow:
         T = config.sweep.temperature * config.temperature_unit
         probe = replace(config.probe, delta=x * config.probe.gamma)
     result = effective_group_velocity(spec, config.trap, probe, T)
+    if result.transmission == 0.0:
+        # e^{-absorbance} underflows: refused here, at its row, not by
+        # write_csv once every row is computed
+        raise OutputRowError(
+            "opaque cloud: the transmission underflows to 0; the absorbance grows "
+            "with gas.atom_count and falls with |probe.detuning_gamma|")
     return SweepRow(
         statistics=stat.value, x=x, L_m=result.L, t_d_s=result.t_d,
         v_g_mps=result.v_g_eff, transmission=result.transmission,

@@ -6,13 +6,15 @@ f_nu(e^x) = -Li_nu(-e^x) on the Fermi side.  Everything here is scalar,
 pure, and deterministic; the optics integrals call these inside adaptive
 quadrature, so the special functions are kept cheap.
 
-Evaluation strategy for Li_s on -series_cutoff <= z <= 1 (further along the
-negative axis Li_s(z) = -f_s(e^x), x = ln(-z), is the Fermi-Dirac function's):
-  * |z| <= series_cutoff          direct power series
+Each function takes only what the cloud passes.  Li_s(z) takes 0 <= z <= 1,
+every Bose fugacity (the negative axis, Li_s(-e^x) = -f_s(e^x), is the
+Fermi-Dirac function's):
+  * z <= series_cutoff            direct power series
   * series_cutoff < z <= 1        expansion in ln z about the z=1 point
-and for f_nu(e^x):
+and f_nu(e^x) every order for x <= ln(series_cutoff), beyond it the orders
+of the density (3/2), the columns and mu roots (2, 3) and the moment (4):
   * x <= ln(series_cutoff)        alternating power series, any order
-  * integer 1 <= nu <= 25 beyond  exact reflection and the square formula
+  * nu = 2, 3, 4 beyond it        exact reflection and the square formula
   * nu = 3/2 beyond it            a checked-in Chebyshev fit in four pieces,
                                   three in x up to x = 20 and one in
                                   (20/x)^2 past it (3/2 is the order of
@@ -138,10 +140,9 @@ def riemann_zeta(s: float) -> float:
     )
 
 
-# eta(2k) = (1 - 2^{1-2k}) zeta(2k), k = 1..12, the coefficients of the
-# front polynomials P_n, which need eta(2), ..., eta(n - 1): orders n <= 25
-_ETA_EVEN = tuple((1.0 - 2.0 ** (1 - 2 * k)) * riemann_zeta(2 * k) for k in range(1, 13))
-_FD_MAX_INTEGER_ORDER = 2 * len(_ETA_EVEN) + 1
+# eta(2k) = (1 - 2^{1-2k}) zeta(2k), k = 1, 2: the coefficients of the front
+# polynomials P_2, P_3 and P_4, which need eta(2), ..., eta(n - 1)
+_ETA_EVEN = tuple((1.0 - 2.0 ** (1 - 2 * k)) * riemann_zeta(2 * k) for k in (1, 2))
 
 
 def _is_integer(s: float) -> bool:
@@ -279,21 +280,18 @@ def _fd_sommerfeld(nu: float, x: float) -> float:
 
 
 def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
-    """Li_s(z) = sum_{j>=1} z^j / j^s for real s and -series_cutoff <= z <= 1;
-    further along the negative axis Li_s(z) = -fermi_dirac_f(s, ln(-z)).
+    """Bose function g_s(z) = Li_s(z) = sum_{j>=1} z^j / j^s for real s and
+    0 <= z <= 1, the fugacities of a Bose cloud; on the negative axis
+    Li_s(z) = -fermi_dirac_f(s, ln(-z)).
 
     DomainError names the argument it refuses: z outside that range or NaN,
-    Li_1(1), an order s that is NaN or -inf, and above z = series_cutoff an
-    order that is not a finite s > 1."""
-    if not -tol.series_cutoff <= z <= 1.0:
-        raise DomainError(f"polylog takes -{tol.series_cutoff} <= z <= 1, got z={z}; "
-                          "below, Li_s(z) is -fermi_dirac_f(s, ln(-z))")
+    an order s that is NaN or -inf, and above z = series_cutoff an order
+    that is not a finite s > 1."""
+    if not 0.0 <= z <= 1.0:
+        raise DomainError(f"polylog takes 0 <= z <= 1, got z={z}; "
+                          "for z < 0, Li_s(z) is -fermi_dirac_f(s, ln(-z))")
     if z == 0.0:
         return 0.0
-    if s == 1.0:
-        if z == 1.0:
-            raise DomainError("Li_1 diverges at z = 1")
-        return -math.log1p(-z)
     if z <= tol.series_cutoff:
         # the series divides by j^s: a NaN order would spend its term budget,
         # and -inf divides by j^-inf = 0 (+inf gives the limit Li_inf(z) = z)
@@ -306,11 +304,7 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
 
 
 def _fd_integer(n: int, x: float) -> float:
-    # f_n(e^x) for integer n >= 1; exact reflection for x > 0.
-    if n < 1:
-        raise DomainError(f"integer Fermi-Dirac order must be >= 1, got {n}")
-    if n == 1:
-        return math.log1p(math.exp(x)) if x <= 0.0 else x + math.log1p(math.exp(-x))
+    # f_n(e^x) for n = 2, 3 or 4; exact reflection for x > 0.
     if x > 0.0:
         sign = 1.0 if n % 2 else -1.0
         return _fd_front_polynomial(n, x) + sign * _fd_integer(n, -x)
@@ -330,9 +324,9 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
 
     Inside the series region, x <= ln(series_cutoff), every order works.
     Beyond it only the orders the LDA cloud uses are served: nu = 3/2 (the
-    density) and the integers 1 <= nu <= 25 (columns, moments and the mu
-    roots take 2, 3 and 4); any other order is a DomainError.  This is also
-    Li_nu(z) for z < -series_cutoff, which polylog refuses.
+    density), 2 and 3 (the columns and the mu roots) and 4 (the axial
+    moment); any other order is a DomainError that names it.  This is also
+    Li_nu(z) for z < 0, which polylog refuses.
 
     x = -inf and +inf give the limits 0 and inf; a NaN nu or x, and
     nu = -inf, is a DomainError that names it.
@@ -346,13 +340,11 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
             return -_polylog_negative_axis(nu, x)
         if x >= SOMMERFELD_SWITCH:
             return _fd_sommerfeld(nu, x)
-    elif not (_is_integer(nu) and round(nu) <= _FD_MAX_INTEGER_ORDER):
+    elif nu not in (2.0, 3.0, 4.0):
         raise DomainError(
-            "f_nu(e^x) beyond the series region takes nu = 3/2 or an integer "
-            f"1 <= nu <= {_FD_MAX_INTEGER_ORDER}, got nu={nu}"
-        )
+            f"f_nu(e^x) beyond the series region takes nu = 3/2, 2, 3 or 4, got nu={nu}")
     elif x == x:
-        return _fd_integer(round(nu), x)
+        return _fd_integer(int(nu), x)
     # only a NaN x fails every comparison above
     raise DomainError(f"f_nu(e^x) takes a number x, got x={x}")
 

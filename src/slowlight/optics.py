@@ -196,8 +196,9 @@ def effective_length(
     tol: NumericTolerances = DEFAULT_TOL,
 ) -> float:
     """RMS axial extent of the cloud, L = [(1/N) int z^2 rho dV]^(1/2), from
-    the profile's closed-form axial moment."""
-    return math.sqrt(make_profile(spec, trap, T, tol).axial_moment() / spec.n_atoms)
+    the profile's closed-form axial moment; it takes no quadrature, so tol
+    has no effect."""
+    return math.sqrt(make_profile(spec, trap, T, DEFAULT_TOL).axial_moment() / spec.n_atoms)
 
 
 def _pinhole_integral(
@@ -281,13 +282,13 @@ def _delay_of_profile(
     return t_d / (math.pi * R * R)
 
 
-def _checked_profile(
-    spec: GasSpec, trap: TrapGeometry, probe: ProbeParams, T: float, tol: NumericTolerances
-):
+def _checked_profile(spec: GasSpec, trap: TrapGeometry, probe: ProbeParams, T: float):
     """The cached profile, or PinholeError when the pinhole is as wide as its
     cut-off radius r_cut; r_cut depends on T and the statistics, so the
-    config reader cannot refuse it."""
-    prof = make_profile(spec, trap, T, tol)
+    config reader cannot refuse it.  The profile reads no tolerance, so the
+    cache key takes DEFAULT_TOL whatever the caller's: one profile per
+    (spec, trap, T)."""
+    prof = make_profile(spec, trap, T, DEFAULT_TOL)
     if probe.pinhole_R >= prof.r_cut:
         raise PinholeError(
             f"probe.pinhole_radius: R = {probe.pinhole_R:.6g} m is not inside the cloud, "
@@ -302,7 +303,7 @@ def delay_time(
 ) -> float:
     """Averaged pulse delay over the pinhole column, vacuum transit removed.
     A pinhole as wide as the cloud raises PinholeError."""
-    return _delay_of_profile(_checked_profile(spec, trap, probe, T, tol), probe, tol)
+    return _delay_of_profile(_checked_profile(spec, trap, probe, T), probe, tol)
 
 
 def _transmission_of_profile(
@@ -325,7 +326,7 @@ def transmission(
     pinhole and the central +-L/2 axial window; L defaults to the
     effective length and must be finite and positive.  A pinhole as wide as
     the cloud raises PinholeError."""
-    prof = _checked_profile(spec, trap, probe, T, tol)
+    prof = _checked_profile(spec, trap, probe, T)
     if L is None:
         L = effective_length(spec, trap, T, tol)
     elif not 0.0 < L < math.inf:
@@ -344,7 +345,7 @@ def effective_group_velocity(
     gracefully to c for an empty medium.  A pinhole as wide as the cloud
     raises PinholeError.
     """
-    prof = _checked_profile(spec, trap, probe, T, tol)
+    prof = _checked_profile(spec, trap, probe, T)
     L = effective_length(spec, trap, T, tol)
     t_d = _delay_of_profile(prof, probe, tol)
     v_g_eff = L / (t_d + L / c_light)

@@ -664,6 +664,33 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "x_peak" in err and "gas.atom_count" in err
 
+    def test_opaque_cloud_exits_at_its_first_row_naming_keys(self, tmp_path, capsys, monkeypatch):
+        # fig1 made Boltzmann: 2.5e10 atoms at 3 gamma, x_peak 0.96, below the
+        # pole; its transmission, e^-5428, underflows to 0.0 at the first row
+        text = preset_text("fig1")
+        for old, new in [("fermi, bose, boltzmann", "boltzmann"), ("= bose", "= boltzmann"),
+                         ("= 3.8e6", "= 2.5e10"), ("detuning_gamma   = 10", "detuning_gamma = 3"),
+                         ("= 0.1 ", "= 0.5 "), ("= 2.0", "= 0.6"), ("= 64", "= 3")]:
+            assert old in text, old
+            text = text.replace(old, new)
+        bad = tmp_path / "opaque.config"
+        bad.write_text(text, encoding="utf-8")
+        calls = []
+        inner = cli.effective_group_velocity
+
+        def counted(*args):
+            calls.append(args[-1])
+            return inner(*args)
+
+        monkeypatch.setattr(cli, "effective_group_velocity", counted)
+        out_csv = tmp_path / "never.csv"
+        assert main(["run", str(bad), "--out", str(out_csv)]) == 1
+        assert not out_csv.exists()
+        err = capsys.readouterr().err
+        assert "statistics=boltzmann, x=0.5" in err
+        assert "gas.atom_count" in err and "probe.detuning_gamma" in err
+        assert len(calls) == 1
+
     def test_console_script_subprocess(self, tmp_path):
         cfg = self.write_config(tmp_path)
         result = subprocess.run(

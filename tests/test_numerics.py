@@ -48,18 +48,19 @@ def mp_polylog(s: float, z: float) -> float:
     return float(complex(mp.polylog(mp.mpf(s), mp.mpf(z))).real)
 
 
-def served_beyond_series(order: float) -> bool:
-    """The domain rule of fermi_dirac_f past its series region: order 3/2,
-    the density's, and the integers >= 1."""
-    return order == 1.5 or (order == round(order) and order >= 1)
+def served(order: float, x: float) -> bool:
+    """The domain rule of fermi_dirac_f: every order in its series region,
+    past it the orders the cloud uses, 3/2 (the density), 2 and 3 (the
+    columns and the mu roots) and 4 (the axial moment)."""
+    return x <= math.log(DEFAULT_TOL.series_cutoff) or order in (1.5, 2.0, 3.0, 4.0)
 
 
 def check_negative_axis(s: float, z: float) -> None:
-    """polylog refuses z < -1/2 and names fermi_dirac_f, which gives
+    """polylog refuses z < 0 and names fermi_dirac_f, which gives
     Li_s(z) = -f_s(e^x), x = ln(-z), there under its own domain rule."""
     with pytest.raises(DomainError, match=r"-fermi_dirac_f\(s, ln\(-z\)\)"):
         polylog(s, z)
-    if not served_beyond_series(s):
+    if not served(s, math.log(-z)):
         with pytest.raises(DomainError, match=f"got nu={s}"):
             fermi_dirac_f(s, math.log(-z))
         return
@@ -85,7 +86,7 @@ class TestPolylog:
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("z", [-1.0, -0.9, -0.6, -0.3, 0.05, 0.3, 0.49, 0.51, 0.7, 0.9, 0.99, 1.0])
     def test_against_mpmath(self, s, z):
-        if z < -DEFAULT_TOL.series_cutoff:
+        if z < 0.0:
             check_negative_axis(s, z)
             return
         assert polylog(s, z) == pytest.approx(mp_polylog(s, z), rel=1e-10, abs=1e-300)
@@ -96,10 +97,12 @@ class TestPolylog:
         check_negative_axis(s, z)
 
     def test_domain_ends(self):
-        cutoff = DEFAULT_TOL.series_cutoff
-        assert polylog(1.5, -cutoff) == pytest.approx(mp_polylog(1.5, -cutoff), rel=1e-14, abs=0.0)
-        for z in (math.nextafter(-cutoff, -1.0), math.nan):
-            with pytest.raises(DomainError, match="polylog takes"):
+        # 0 <= z <= 1, the fugacities of a Bose cloud, ends included
+        assert polylog(1.5, 0.0) == polylog(1.5, -0.0) == 0.0
+        assert polylog(1.5, 1.0) == pytest.approx(mp_polylog(1.5, 1.0), rel=1e-14, abs=0.0)
+        for z in (math.nextafter(0.0, -1.0), -DEFAULT_TOL.series_cutoff, math.nextafter(1.0, 2.0),
+                  math.nan):
+            with pytest.raises(DomainError, match=re.escape(f"polylog takes 0 <= z <= 1, got z={z}")):
                 polylog(1.5, z)
 
     def test_domain_errors(self):
@@ -186,7 +189,7 @@ class TestFermiDirac:
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("x", [-3.0, -0.69, -0.2, 0.0, 0.8, 2.35, 5.0, 9.7, 15.0, 19.9, 20.1, 30.0])
     def test_against_mpmath(self, nu, x):
-        if x > math.log(DEFAULT_TOL.series_cutoff) and not served_beyond_series(nu):
+        if not served(nu, x):
             with pytest.raises(DomainError, match=f"got nu={nu}"):
                 fermi_dirac_f(nu, x)
             return
@@ -200,34 +203,37 @@ class TestFermiDirac:
         assert fermi_dirac_f(float(n), x) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_order_one_closed_form(self):
-        # f_1(e^x) = ln(1 + e^x), written for x > 0 so that e^x cannot overflow
-        for x in (-0.5, 0.0, 3.0):
+        # f_1(e^x) = ln(1 + e^x) comes from the series, which serves every
+        # order; past it no cloud takes order 1, and it is refused
+        for x in (-30.0, -1.0, math.log(DEFAULT_TOL.series_cutoff)):
             assert fermi_dirac_f(1.0, x) == pytest.approx(
                 math.log1p(math.exp(x)), rel=1e-15, abs=0.0)
-        value = fermi_dirac_f(1.0, 800.0)
-        assert math.isfinite(value) and value == 800.0 + math.log1p(math.exp(-800.0))
+        for x in (-0.5, 0.0, 3.0, 800.0):
+            with pytest.raises(DomainError, match=r"takes nu = 3/2, 2, 3 or 4, got nu=1\.0"):
+                fermi_dirac_f(1.0, x)
 
-    def test_integer_orders_end_at_twenty_five(self):
+    def test_integer_orders_end_at_four(self):
         # the front polynomial of f_n needs eta(2), ..., eta(n - 1), and the
-        # table holds eta(24); n = 26 once indexed past it (an IndexError)
+        # table holds eta(2) and eta(4): n = 4, the axial moment's, is the last
         for x in (-0.5, 0.3, 3.0, 12.0, 40.0):
-            exact = float(complex(-mp.polylog(25, -mp.exp(mp.mpf(x)))).real)
-            assert fermi_dirac_f(25.0, x) == pytest.approx(exact, rel=1e-15, abs=0.0), x
-        for x in (-0.5, 1.0, 40.0):
-            with pytest.raises(DomainError, match=r"integer 1 <= nu <= 25, got nu=26"):
-                fermi_dirac_f(26, x)
+            exact = float(complex(-mp.polylog(4, -mp.exp(mp.mpf(x)))).real)
+            assert fermi_dirac_f(4.0, x) == pytest.approx(exact, rel=1e-14, abs=0.0), x
+        for nu in (5.0, 25.0):
+            for x in (-0.5, 1.0, 40.0):
+                with pytest.raises(DomainError, match=f"got nu={nu}"):
+                    fermi_dirac_f(nu, x)
         # inside the series region every order is served
         assert fermi_dirac_f(26.0, -1.0) == pytest.approx(
             float(complex(-mp.polylog(26, -mp.exp(-1))).real), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("nu,x", [(0.0, 1.0), (-1.0, 1.0), (0.0, -0.2)])
     def test_integer_order_below_one_is_a_domain_error(self, nu, x):
-        with pytest.raises(DomainError, match=f"order must be >= 1, got {round(nu)}"):
+        with pytest.raises(DomainError, match=f"takes nu = 3/2, 2, 3 or 4, got nu={nu}"):
             fermi_dirac_f(nu, x)
 
     @pytest.mark.parametrize("nu,x,message", [
         (1.5, math.nan, "got x=nan"),
-        (1.0, math.nan, "got x=nan"),
+        (4.0, math.nan, "got x=nan"),
         (3.0, math.nan, "got x=nan"),
         (math.nan, 1.0, "got nu=nan"),
         (math.inf, 1.0, "got nu=inf"),
@@ -238,7 +244,7 @@ class TestFermiDirac:
         with pytest.raises(DomainError, match=message):
             fermi_dirac_f(nu, x)
 
-    @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("nu", [1.5, 2.0, 3.0, 4.0])
     def test_infinite_argument_gives_the_limits(self, nu):
         assert fermi_dirac_f(nu, -math.inf) == 0.0
         assert fermi_dirac_f(nu, math.inf) == math.inf
@@ -620,9 +626,10 @@ class TestFindRoot:
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-13)
 
 
-# the orders the package evaluates zeta at: the polylog orders, the even
-# integers of the front polynomials P_n (_ETA_EVEN) and the near-one coefficients
-# zeta(s - k), k <= 24
+# the orders the package evaluates zeta at: the polylog orders, eta(2) and
+# eta(4) of the front polynomials P_n (_ETA_EVEN) and the near-one coefficients
+# zeta(s - k), k <= 24; and the even integers up to 24, where zeta is a
+# rational multiple of pi^s
 ZETA_ARGS = sorted(
     {0.5, 0.75, 1.5, 2.5, 3.0, 4.0}
     | {2.0 * k for k in range(1, 13)}

@@ -6,13 +6,18 @@ import re
 import sys
 import threading
 import warnings
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 from scipy.constants import c as c_light, h, hbar, k as k_B
+from scipy.optimize import brentq
+from scipy.signal import convolve
+from scipy.special import erf
 
 from slowlight import optics
 from slowlight.cli import parse_config, preset_text
@@ -941,70 +946,142 @@ class TestPresetReferenceOracle:
                                           [config.probe.delta / config.probe.gamma])
 
 
-def boltzmann_closed_form(n_atoms, trap, T, delta_gamma, pinhole, local_field=True):
-    """(L, t_d, ln transmission) of a Boltzmann cloud of sodium atoms in
-    closed form, with no quadrature and none of the program's functions.
+# The closed-form oracle keeps the terms of the density's Gaussian sum while
+# z^j / (1 - z) is above this share of the first, and solves for the fugacity
+# on z <= _CF_Z_MAX, beyond which the sums grow too long to be cheap.
+_CF_TAIL = 1e-18
+_CF_Z_MAX = 0.995
+_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
 
-    rho(s) = rho_0 e^(-a s^2) in the scaled radius s, a = M omega_r^2 / 2 k_B T
-    and rho_0 = N eps (a / pi)^(3/2), so L = 1 / (eps sqrt(2 a)) and rho^m is
-    again a Gaussian, whose integral over the pinhole cylinder r < R and the
-    window |eps z| < W is
+ClosedForm = namedtuple("ClosedForm", "L t_d ln_T error")
 
-        G_m(W) = (pi / m a) (1 - e^(-m a R^2)) sqrt(pi / m a) erf(sqrt(m a) W) / eps.
 
-    With y = b rho, 1 / (1 - y)^2 = sum_k (k + 1) y^k and
-    1 / ((1 - y)^2 + g^2) = sum_k d_k y^k, d_k = Im[(1 - i g)^-(k+1)] / g, so
+def _gaussian_count(z):
+    """Terms j <= J of a Gaussian sum at fugacity z: the first J with
+    z^J / (1 - z) <= _CF_TAIL."""
+    return max(1, math.ceil(math.log(_CF_TAIL * (1.0 - z)) / math.log(z)))
 
-        t_d  =  K rho_0 sum_k (k + 1) x^k G_(k+1)(inf) / pi R^2,
-        ln T = -(2 omega_0 / c) |alpha g| rho_0 sum_k d_k x^k G_(k+1)(eps L / 2) / pi R^2,
 
-    x = b rho_0 = x_peak.  The sums stop at the first k with
-    (k + 1) |x|^k < 1e-20: |d_k| <= k + 1 and G_m falls with m, so for
-    |x| <= 0.9 the terms left out add less than 1e-18 of the first one.  The
-    series diverge at |x| = 1, and the helper takes only |x| <= 0.9."""
-    with mp.workdps(20):
-        eps, kT = mp.mpf(trap.epsilon), k_B * mp.mpf(T)
-        a = mp.mpf(MASS_NA) * mp.mpf(trap.omega_r) ** 2 / (2 * kT)
-        rho_0 = n_atoms * eps * (a / mp.pi) ** 1.5
-        L = 1 / (eps * mp.sqrt(2 * a))
-        R, c, omega_0, gamma = mp.mpf(pinhole), mp.mpf(c_light), mp.mpf(OMEGA_0), mp.mpf(GAMMA)
-        delta = delta_gamma * gamma
-        alpha = 3 * gamma / (4 * (omega_0 / c) ** 3 * delta)
-        g = gamma / (2 * delta)
-        x = 4 * mp.pi / 3 * alpha * rho_0 if local_field else mp.mpf(0)
-        assert abs(x) <= 0.9, x
-        terms = 1
-        while (terms + 1) * abs(x) ** terms >= 1e-20:
-            terms += 1
+def sodium_probe_constants(delta_gamma):
+    """(alpha, g, K) of the sodium D-line probe at the detuning delta_gamma:
+    the two-level polarizability alpha = 3 gamma / (4 k^3 Delta), g = gamma /
+    2 Delta and the linear excess slowness per density K = 2 pi omega_0 alpha
+    / (Delta c), written out here, not read from the program."""
+    delta = delta_gamma * GAMMA
+    alpha = 3.0 * GAMMA / (4.0 * (OMEGA_0 / c_light) ** 3 * delta)
+    return alpha, GAMMA / (2.0 * delta), 2.0 * math.pi * OMEGA_0 * alpha / (delta * c_light)
 
-        def gaussians(coefficient, W):
-            total = 0
-            for k in range(terms):
-                ma = (k + 1) * a
-                column = mp.pi / ma * -mp.expm1(-ma * R * R) / eps
-                total += coefficient(k) * x**k * column * mp.sqrt(mp.pi / ma) * mp.erf(mp.sqrt(ma) * W)
-            return rho_0 * total / (mp.pi * R * R)
 
-        K = 2 * mp.pi * omega_0 * alpha / (delta * c)
-        t_d = K * gaussians(lambda k: k + 1, mp.inf)
-        w = 1 / mp.mpc(1, -g)
-        ln_T = -2 * omega_0 / c * abs(alpha * g) * gaussians(
-            lambda k: (w ** (k + 1)).imag / g, eps * L / 2)
-        return float(L), float(t_d), float(ln_T)
+def thermal_coefficients(stat, n_atoms, trap, T):
+    """(c, a, z): a nondegenerate sodium cloud's density as a sum of Gaussians
+    in the scaled radius s, rho(s) = sum_j c_j e^(-j a s^2), with
+    a = M omega_r^2 / 2 k_B T and
+
+        c_j = z^j / (j^(3/2) lambda_T^3)               Bose above T_c,
+        c_j = (-1)^(j+1) z^j / (j^(3/2) lambda_T^3)    Fermi,
+        c_1 = z / lambda_T^3, one term                 Boltzmann.
+
+    The fugacity z is solved here, by brentq, from
+    N = sum_j c_j (pi / (j a))^(3/2) / eps; neither z nor lambda_T comes
+    from the program.  Bose and Fermi take z <= _CF_Z_MAX, else brentq raises
+    ValueError, and keep the terms j <= _gaussian_count(z)."""
+    kT = k_B * T
+    a = MASS_NA * trap.omega_r**2 / (2.0 * kT)
+    lam3 = (h / math.sqrt(2.0 * math.pi * MASS_NA * kT)) ** 3
+    target = n_atoms * trap.epsilon * lam3 * (a / math.pi) ** 1.5  # sum_j c_j lam3 / j^(3/2)
+    if stat is Statistics.BOLTZMANN:
+        return np.array([target / lam3]), a, target
+    j = np.arange(1, _gaussian_count(_CF_Z_MAX) + 1)
+    signs = np.ones(len(j)) if stat is Statistics.BOSE else np.where(j % 2, 1.0, -1.0)
+    z = brentq(lambda u: np.sum(signs * u**j / j**3.0) - target, 0.0, _CF_Z_MAX,
+               xtol=1e-300, rtol=_BRENTQ_RTOL)
+    count = _gaussian_count(z)
+    return signs[:count] * z ** j[:count] / j[:count] ** 1.5 / lam3, a, z
+
+
+def gaussian_sum_closed_form(c, a, n_atoms, trap, delta_gamma, pinhole, local_field=True):
+    """(L, t_d, ln transmission, error) of the sodium cloud
+    rho(s) = sum_j c_j e^(-j a s^2) (thermal_coefficients) in closed form,
+    with no quadrature and none of the program's functions.
+
+    Each Gaussian e^(-m a s^2) integrates in closed form over the pinhole
+    cylinder r < R and the window |eps z| < W:
+
+        G_m(W) = (pi / m a) (1 - e^(-m a R^2)) sqrt(pi / m a) erf(sqrt(m a) W) / eps,
+
+    and over the whole trap with weight z^2 to (pi / m a)^(3/2) / (2 m a eps^3),
+    which gives L.  With rho_0 = sum_j c_j, u = c / rho_0 and y = b rho,
+    1 / (1 - y)^2 = sum_k (k + 1) y^k and 1 / ((1 - y)^2 + g^2) = sum_k d_k y^k,
+    d_k = Im[(1 - i g)^-(k+1)] / g, so
+
+        t_d  =  K rho_0 sum_k (k + 1) x^k P_k(inf) / pi R^2,
+        ln T = -(2 omega_0 / c) |alpha g| rho_0 sum_k d_k x^k P_k(eps L / 2) / pi R^2,
+
+    x = b rho_0 = x_peak, where P_k(W) = sum_m (u^*(k+1))_m G_m(W) and the
+    (k+1)-fold convolution u^*(k+1) holds the coefficients of (rho / rho_0)^(k+1).
+    The sums in k stop at the first k with (k + 1) |x|^k < 1e-20: rho <= rho_0
+    gives P_k <= P_0, and |d_k| <= k + 1, so for |x| <= 0.9 the terms left
+    out add less than 1e-18 of the first.  The series diverge at |x| = 1,
+    and the helper takes only |x| <= 0.9.
+
+    error estimates the relative error of t_d and ln T: the Gaussian terms
+    left out (_CF_TAIL), the fugacity's brentq tolerance times the mean order
+    sum_j j |c_j| / rho_0, and the rounding of the sums, a few machine epsilons
+    times log2 of the longest convolution (done by FFT where that is faster)
+    times sum_k |weight_k| (sum_j |u_j|)^(k+1) G_(k+1) / |sum_k weight_k P_k|,
+    the sums' condition, which the alternating Fermi c_j raise."""
+    eps, R2 = trap.epsilon, pinhole * pinhole
+    j = np.arange(1, len(c) + 1)
+    L = math.sqrt(math.fsum(c * (math.pi / (j * a)) ** 1.5 / (2.0 * j * a)) / (eps**3 * n_atoms))
+    rho_0 = math.fsum(c)
+    u = c / rho_0
+    alpha, g, K = sodium_probe_constants(delta_gamma)
+    x = 4.0 * math.pi / 3.0 * alpha * rho_0 if local_field else 0.0
+    assert abs(x) <= 0.9, x
+    terms = 1
+    while (terms + 1) * abs(x) ** terms >= 1e-20:
+        terms += 1
+    w = 1.0 / complex(1.0, -g)
+    sums, bounds = np.zeros(2), np.zeros(2)
+    power, longest, mass = u, 1, math.fsum(np.abs(u))
+    for k in range(terms):
+        ma = np.arange(k + 1, k + 1 + len(power)) * a
+        column = math.pi / ma * -np.expm1(-ma * R2) * np.sqrt(math.pi / ma) / eps
+        window = column * erf(np.sqrt(ma) * eps * L / 2.0)
+        weights = np.array([(k + 1) * x**k, (w ** (k + 1)).imag / g * x**k])
+        sums += weights * [np.dot(power, column), np.dot(power, window)]
+        bounds += np.abs(weights) * mass ** (k + 1) * [column[0], window[0]]
+        longest = max(longest, len(power))
+        if k + 1 < terms:
+            power = convolve(power, u)
+    rounding = 8.0 * np.finfo(float).eps * math.log2(2 + longest) * np.max(bounds / np.abs(sums))
+    error = _CF_TAIL + _BRENTQ_RTOL * math.fsum(j * np.abs(c)) / abs(rho_0) + rounding
+    scale = rho_0 / (math.pi * R2)
+    ln_T = -2.0 * OMEGA_0 / c_light * abs(alpha * g) * scale * sums[1]
+    return ClosedForm(L, K * scale * sums[0], ln_T, error)
+
+
+def closed_form(stat, n_atoms, trap, T, delta_gamma, pinhole, local_field=True):
+    """gaussian_sum_closed_form of the nondegenerate cloud of thermal_coefficients."""
+    c, a, _ = thermal_coefficients(stat, n_atoms, trap, T)
+    return gaussian_sum_closed_form(c, a, n_atoms, trap, delta_gamma, pinhole, local_field)
+
+
+def check_closed_form(row, expected):
+    """A row's (L, t_d, transmission) against a ClosedForm at 1e-9, with the
+    closed form's own error estimate well inside that."""
+    (L, t_d, trans), cf = row, expected
+    assert cf.error < 1e-11, cf
+    assert L == pytest.approx(cf.L, rel=1e-9, abs=0.0)
+    assert t_d == pytest.approx(cf.t_d, rel=1e-9, abs=0.0)
+    assert math.log(trans) == pytest.approx(cf.ln_T, rel=1e-9, abs=0.0)
 
 
 class TestBoltzmannClosedForm:
-    """L, t_d and ln(transmission) of Boltzmann clouds against
-    boltzmann_closed_form at 1e-9: every Boltzmann row of the fig1, fig2 and
-    benchmark references, and a cloud near the local-field pole at both
-    signs of the detuning, with the local field on and off."""
-
-    @staticmethod
-    def check(row, expected):
-        (L, t_d, trans), (L_cf, t_d_cf, ln_T_cf) = row, expected
-        assert L == pytest.approx(L_cf, rel=1e-9, abs=0.0)
-        assert t_d == pytest.approx(t_d_cf, rel=1e-9, abs=0.0)
-        assert math.log(trans) == pytest.approx(ln_T_cf, rel=1e-9, abs=0.0)
+    """L, t_d and ln(transmission) of Boltzmann clouds against closed_form
+    at 1e-9: every Boltzmann row of the fig1, fig2 and benchmark references,
+    a cloud near the local-field pole at both signs of the detuning, with
+    the local field on and off, and clouds drawn by hypothesis."""
 
     @pytest.mark.parametrize("name", ["fig1", "fig2"])
     def test_preset_rows(self, name):
@@ -1017,8 +1094,9 @@ class TestBoltzmannClosedForm:
                 T, delta_gamma = x * T_c, probe.delta / probe.gamma
             else:  # x is the detuning in gamma
                 T, delta_gamma = config.sweep.temperature * T_c, x
-            self.check((L, t_d, trans), boltzmann_closed_form(
-                config.gas.n_atoms, config.trap, T, delta_gamma, probe.pinhole_R))
+            check_closed_form((L, t_d, trans), closed_form(
+                Statistics.BOLTZMANN, config.gas.n_atoms, config.trap, T, delta_gamma,
+                probe.pinhole_R))
 
     def test_benchmark_rows(self, na_cloud):
         # T from the run's T_c: wl.kelvin takes hbar to 10 digits, 6e-10 off
@@ -1027,8 +1105,8 @@ class TestBoltzmannClosedForm:
         mine = [r for r in rows if r[0] == "boltzmann"]
         assert len(mine) == wl.points and wl.local_field
         for _, x, L, t_d, _, trans in mine:
-            self.check((L, t_d, trans), boltzmann_closed_form(
-                3.8e6, trap, wl.temperature * s.T_c, x, 7.5e-6))
+            check_closed_form((L, t_d, trans), closed_form(
+                Statistics.BOLTZMANN, 3.8e6, trap, wl.temperature * s.T_c, x, 7.5e-6))
 
     @pytest.mark.parametrize("delta_gamma", [3.0, -3.0])
     @pytest.mark.parametrize("local_field", [True, False])
@@ -1038,8 +1116,63 @@ class TestBoltzmannClosedForm:
         cloud = GasSpec(Statistics.BOLTZMANN, 1e10, spec.mass)
         T = 0.5 * char_scales(cloud, trap).T_c
         got = effective_group_velocity(cloud, trap, na_probe(delta_gamma, local_field=local_field), T)
-        self.check((got.L, got.t_d, got.transmission),
-                   boltzmann_closed_form(1e10, trap, T, delta_gamma, 7.5e-6, local_field))
+        check_closed_form((got.L, got.t_d, got.transmission), closed_form(
+            Statistics.BOLTZMANN, 1e10, trap, T, delta_gamma, 7.5e-6, local_field))
+
+    @given(
+        log_n=st.floats(min_value=4.0, max_value=11.5),
+        t=st.floats(min_value=0.2, max_value=3.0),
+        epsilon=st.floats(min_value=0.05, max_value=1.0),
+        pinhole=st.floats(min_value=0.05, max_value=3.0),
+        delta_gamma=st.floats(min_value=3.0, max_value=50.0),
+        red=st.booleans(),
+        local_field=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_clouds_below_the_pole(self, log_n, t, epsilon, pinhole, delta_gamma, red,
+                                   local_field):
+        # T in units of the cloud's T_c, the pinhole in units of its radial
+        # width sigma_r = (k_B T / M omega_r^2)^(1/2), a quarter of the
+        # program's cut-off radius at most; |x_peak| <= 0.9, where the
+        # closed form converges, and a transmission that does not underflow
+        n_atoms, delta_gamma = 10.0**log_n, -delta_gamma if red else delta_gamma
+        trap = TrapGeometry(2.0 * math.pi * 69.0, epsilon)
+        cloud = GasSpec(Statistics.BOLTZMANN, n_atoms, MASS_NA)
+        T = t * char_scales(cloud, trap).T_c
+        R = pinhole * math.sqrt(k_B * T / MASS_NA) / trap.omega_r
+        c, a, _ = thermal_coefficients(Statistics.BOLTZMANN, n_atoms, trap, T)
+        b = 4.0 * math.pi / 3.0 * sodium_probe_constants(delta_gamma)[0] if local_field else 0.0
+        assume(abs(b * c[0]) <= 0.9)
+        expected = gaussian_sum_closed_form(c, a, n_atoms, trap, delta_gamma, R, local_field)
+        assume(expected.ln_T > -700.0)
+        got = effective_group_velocity(cloud, trap, na_probe(delta_gamma, R, local_field), T)
+        check_closed_form((got.L, got.t_d, got.transmission), expected)
+
+
+class TestNondegenerateClosedForm:
+    """The Bose and Fermi rows of tests/reference/fig1.csv whose cloud is a
+    convergent Gaussian sum against closed_form at 1e-9: every Bose row above
+    T_c and every Fermi row with z <= 0.95, z from the oracle's own solve."""
+
+    @pytest.mark.parametrize("stat,count", [(Statistics.BOSE, 33), (Statistics.FERMI, 30)])
+    def test_fig1_rows(self, stat, count):
+        config, rows = preset_reference("fig1")
+        T_c, probe = config.scales.T_c, config.probe
+        checked = 0
+        for _, x, L, t_d, _, trans in (r for r in rows if r[0] is stat):
+            if stat is Statistics.BOSE and x <= 1.0:
+                continue  # condensed: no Gaussian sum
+            try:
+                c, a, z = thermal_coefficients(stat, config.gas.n_atoms, config.trap, x * T_c)
+            except ValueError:  # no fugacity on z <= _CF_Z_MAX: degenerate Fermi
+                continue
+            if z > 0.95:
+                continue
+            check_closed_form((L, t_d, trans), gaussian_sum_closed_form(
+                c, a, config.gas.n_atoms, config.trap, probe.delta / probe.gamma,
+                probe.pinhole_R))
+            checked += 1
+        assert checked == count
 
 
 class TestEffectiveGroupVelocity:
@@ -1159,6 +1292,21 @@ class TestSharedProfile:
         assert make_profile.cache_info().currsize == 1
         # the one profile keeps the shells that delay_time integrated over
         assert prof._shells and prof.at(0.0, 0.0) == rho
+
+    def test_a_tighter_tolerance_shares_the_profile(self, na_cloud):
+        # the profile reads no tolerance, so a caller's tol once built a second
+        # profile, with a second shell memo, at the same T: fig2's Fermi cloud
+        spec, trap, s = na_cloud
+        fermi = GasSpec(Statistics.FERMI, spec.n_atoms, spec.mass, spec.a_sc)
+        T, tight, probe = 0.5 * s.T_c, NumericTolerances(1e-9), na_probe()
+        make_profile.cache_clear()
+        delay_time(fermi, trap, probe, T)
+        delay_time(fermi, trap, probe, T, tight)
+        transmission(fermi, trap, probe, T, tight)
+        effective_length(fermi, trap, T, tight)
+        effective_group_velocity(fermi, trap, probe, T, tight)
+        info = make_profile.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 class TestZeroTemperatureClosedForms:
