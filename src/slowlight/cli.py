@@ -87,11 +87,32 @@ class RunConfig(namedtuple("RunConfig", "gas trap probe sweep scales")):
         return getattr(self.scales, self.temperature_unit_name)
 
 
+class OutputRowError(ValueError):
+    """A sweep row is non-finite or outside its physical range."""
+
+
 class SweepRow(namedtuple("SweepRow", "statistics x L_m t_d_s v_g_mps transmission")):
     """One CSV row: the statistics, then the numbers, in the order of the
-    columns."""
+    columns.  A row is checked where it is built, by the run, read_csv or a
+    caller: a non-finite number, a transmission outside (0, 1] or a v_g
+    outside (0, c] raises OutputRowError."""
 
     __slots__ = ()
+
+    def __new__(cls, statistics: str, x: float, L_m: float, t_d_s: float, v_g_mps: float,
+                transmission: float):
+        self = tuple.__new__(cls, (statistics, x, L_m, t_d_s, v_g_mps, transmission))
+        for name, value in zip(self._fields[1:], self[1:]):
+            if not math.isfinite(value):
+                raise OutputRowError(f"{name} must be finite, got {value}")
+        if not 0.0 < transmission <= 1.0:
+            raise OutputRowError(
+                f"transmission must be in (0, 1], got {transmission}; e^-absorbance "
+                "underflows to 0 for an opaque cloud, whose absorbance grows with "
+                "gas.atom_count and falls with |probe.detuning_gamma|")
+        if not 0.0 < v_g_mps <= C_LIGHT:
+            raise OutputRowError(f"v_g must be positive and at most c, got {v_g_mps}")
+        return self
 
 
 CSV_HEADER = ",".join(SweepRow._fields)
@@ -322,17 +343,7 @@ def _sweep_point(config: RunConfig, stat: Statistics, x: float) -> SweepRow:
     else:
         T = config.sweep.temperature * config.temperature_unit
         probe = replace(config.probe, delta=x * config.probe.gamma)
-    result = effective_group_velocity(spec, config.trap, probe, T)
-    if result.transmission == 0.0:
-        # e^{-absorbance} underflows: refused here, at its row, not by
-        # write_csv once every row is computed
-        raise OutputRowError(
-            "opaque cloud: the transmission underflows to 0; the absorbance grows "
-            "with gas.atom_count and falls with |probe.detuning_gamma|")
-    return SweepRow(
-        statistics=stat.value, x=x, L_m=result.L, t_d_s=result.t_d,
-        v_g_mps=result.v_g_eff, transmission=result.transmission,
-    )
+    return SweepRow(stat.value, x, *effective_group_velocity(spec, config.trap, probe, T))
 
 
 def run_sweep(config: RunConfig) -> list[SweepRow]:
@@ -367,26 +378,11 @@ def _atomic_write(path: str | os.PathLike, data: str) -> None:
         raise
 
 
-class OutputRowError(ValueError):
-    """A sweep row is non-finite or outside its physical range."""
-
-
-def _check_row(row: SweepRow) -> None:
-    if not all(math.isfinite(v) for v in row[1:]):
-        raise OutputRowError(f"non-finite value in row {row}")
-    if not 0.0 < row.transmission <= 1.0:
-        raise OutputRowError(f"transmission outside (0, 1] in row {row}")
-    if not 0.0 < row.v_g_mps <= C_LIGHT:
-        raise OutputRowError(f"v_g outside (0, c] in row {row}")
-
-
 def write_csv(rows: Sequence[SweepRow], path: str | os.PathLike) -> None:
-    """CSV with the fixed schema, 12 significant digits, LF endings.  Every
-    row is checked before anything is written; a bad one raises
-    OutputRowError and leaves no file."""
+    """CSV with the fixed schema, 12 significant digits, LF endings.  Rows
+    are checked where they are built (SweepRow), not here."""
     lines = [CSV_HEADER]
     for row in rows:
-        _check_row(row)
         lines.append(",".join((row.statistics, *(f"{v:.11e}" for v in row[1:]))))
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -468,8 +464,6 @@ def emit_chart(
 
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
-    if log_y and min(ys) <= 0.0:
-        raise ValueError("log-scale chart requires positive y values")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -479,7 +473,7 @@ def emit_chart(
         if x_hi == x_lo:
             x_lo, x_hi = sorted((x_lo / 2.0, x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo * 1.1 if y_lo else 1.0
+        y_hi = y_lo * 1.1
 
     plot_w = _CHART_W - _MARGIN_L - _MARGIN_R
     plot_h = _CHART_H - _MARGIN_T - _MARGIN_B

@@ -105,8 +105,9 @@ class Susceptibility(namedtuple("Susceptibility", "chi_re chi_abs")):
 
 
 class PropagationResult(namedtuple("PropagationResult", "L t_d v_g_eff transmission")):
-    """Bundle of slow-light observables at one sweep point: L (m), the
-    excess delay over vacuum t_d (s), v_g_eff (m/s), transmission in (0, 1]."""
+    """Bundle of slow-light observables at one sweep point: L (m), the excess
+    delay over vacuum t_d (s), v_g_eff (m/s), transmission in [0, 1] (0.0 for
+    an opaque cloud, whose e^-absorbance underflows)."""
 
     __slots__ = ()
 
@@ -122,16 +123,14 @@ def _response(probe: ProbeParams):
     """(b, K, chi), bound once per probe: b = (4 pi / 3) alpha is the
     local-field strength (0 with the local field off), K = 2 pi omega_0 alpha
     / (Delta c) the linear excess slowness per density, so that 1/v_g - 1/c
-    = K rho / (1 - b rho)^2, and chi(rho) = (chi', chi'') the susceptibility,
-    which refuses a negative or NaN density."""
+    = K rho / (1 - b rho)^2, and chi(rho) = (chi', chi'') the susceptibility at
+    a nonnegative density, which refuses a resonant denominator that underflows."""
     alpha = polarizability(probe)
     factor = 4.0 * math.pi / 3.0 if probe.local_field_on else 0.0
     g = probe.gamma / (2.0 * probe.delta)
     K = 2.0 * math.pi * probe.omega_0 * alpha / (probe.delta * c_light)
 
     def chi(rho: float) -> tuple[float, float]:
-        if not rho >= 0.0:
-            raise ValueError(f"density must be nonnegative, got rho={rho}")
         alpha_rho = alpha * rho
         d_loc = 1.0 - factor * alpha_rho
         den = d_loc * d_loc + g * g

@@ -401,6 +401,12 @@ class TestCsv:
             write_csv([SweepRow(**values), SweepRow(**{**values, field: value})], path)
         assert not path.exists()
 
+    def test_read_csv_refuses_a_row_with_transmission_zero(self, tmp_path):
+        path = tmp_path / "opaque.csv"
+        path.write_text(f"{CSV_HEADER}\nboltzmann,0.5,1e-5,1e-8,100,0\n", encoding="utf-8")
+        with pytest.raises(OutputRowError, match="transmission"):
+            read_csv(path)
+
     @pytest.mark.parametrize("line", ["bose,0.5,1,1,1,0.5,7", "bose,0.5,1,1,1"])
     def test_read_csv_refuses_a_wrong_column_count(self, tmp_path, line):
         path = tmp_path / "columns.csv"
@@ -691,6 +697,24 @@ class TestCommandLine:
         assert "gas.atom_count" in err and "probe.detuning_gamma" in err
         assert len(calls) == 1
 
+    def test_nan_row_stops_the_run_at_its_point(self, tmp_path, capsys, monkeypatch):
+        # a NaN t_d at the second point stops the run before the third
+        calls = []
+        inner = cli.effective_group_velocity
+
+        def nan_at_second(*args):
+            calls.append(args[-1])
+            result = inner(*args)
+            return result._replace(t_d=math.nan) if len(calls) == 2 else result
+
+        monkeypatch.setattr(cli, "effective_group_velocity", nan_at_second)
+        out_csv = tmp_path / "never.csv"
+        assert main(["run", str(self.write_config(tmp_path)), "--out", str(out_csv)]) == 1
+        assert not out_csv.exists()
+        err = capsys.readouterr().err
+        assert "statistics=boltzmann, x=1:" in err and "t_d_s must be finite" in err
+        assert len(calls) == 2
+
     def test_console_script_subprocess(self, tmp_path):
         cfg = self.write_config(tmp_path)
         result = subprocess.run(
@@ -884,6 +908,14 @@ class TestRecords:
         with pytest.raises(AttributeError):
             setattr(a, field, 1.0)
         assert a == b
+
+    @pytest.mark.parametrize("v_g,transmission,message", [
+        (595.0, 0.0, "gas.atom_count.*probe.detuning_gamma"), (3.1e8, 0.8, "at most c"),
+    ], ids=["opaque", "v_g_above_c"])
+    def test_an_unphysical_sweep_row_is_refused_where_it_is_built(self, v_g, transmission,
+                                                                  message):
+        with pytest.raises(OutputRowError, match=message):
+            SweepRow("bose", 0.5, 2.9e-5, 4.9e-8, v_g, transmission)
 
 
 class TestPackage:

@@ -692,6 +692,35 @@ def mp_fd_three_halves_core(x_top):
     return core
 
 
+@lru_cache(maxsize=None)
+def mp_bose_three_halves_coefficients(digits):
+    """The coefficients zeta(3/2 - k) (-1)^k / k!, highest k first, of
+    Robinson's expansion
+
+        g_{3/2}(e^-u) = Gamma(-1/2) u^(1/2) + sum_k zeta(3/2 - k) (-u)^k / k!,
+
+    which converges for u < 2 pi, up to the first k past 3 whose term at
+    u = pi is below 10^-(digits + 5).  Cached per working precision."""
+    with mp.workdps(digits + 10):
+        coeffs, tiny = [], mp.mpf(10) ** -(digits + 5)
+        while len(coeffs) < 4 or abs(coeffs[-1]) * mp.pi ** (len(coeffs) - 1) > tiny:
+            k = len(coeffs)
+            coeffs.append(mp.zeta(mp.mpf(1.5) - k) * (-1) ** k / mp.factorial(k))
+    return coeffs[::-1]
+
+
+def mp_bose_three_halves(u):
+    """g_{3/2}(e^-u) = Li_{3/2}(e^-u) for u >= 0: Robinson's expansion below
+    u = pi, where mpmath.polylog takes 2-10 ms a call, and mpmath.polylog
+    above.  The sum is taken at 10 guard digits: at u = pi its two parts
+    cancel to a hundredth."""
+    if u >= mp.pi:
+        return mp.re(mp.polylog(1.5, mp.exp(-u)))
+    coeffs = mp_bose_three_halves_coefficients(mp.mp.dps)
+    with mp.workdps(mp.mp.dps + 10):
+        return +(mp.gamma(-0.5) * mp.sqrt(u) + mp.polyval(coeffs, u))
+
+
 def mp_thermal_cloud(stat, n_atoms, a_sc, trap, T):
     """(rho, L, s_end, R_c) of a T > 0 cloud of sodium atoms in mpmath,
     independent of the program.
@@ -703,7 +732,8 @@ def mp_thermal_cloud(stat, n_atoms, a_sc, trap, T):
     normalization with mp.findroot) and L = [(1/N) int z^2 rho dV]^(1/2) are
     computed here.  f is the fugacity times e^-v for Boltzmann and otherwise
     mpmath.polylog of order 3/2, except in the core of the Fermi cloud,
-    x > -ln 2, where it is mp_fd_three_halves_core.  rho is below e^-60 of
+    x > -ln 2, where it is mp_fd_three_halves_core, and for Bose, where it is
+    mp_bose_three_halves.  rho is below e^-60 of
     its peak beyond s_end."""
     N, M = mp.mpf(n_atoms), mp.mpf(MASS_NA)
     eps, omega_r, kT = mp.mpf(trap.epsilon), mp.mpf(trap.omega_r), k_B * mp.mpf(T)
@@ -732,14 +762,16 @@ def mp_thermal_cloud(stat, n_atoms, a_sc, trap, T):
             # the interacting condensate fraction and mu = mu_TF (N_0/N)^(2/5)
             a_ho = mp.sqrt(hbar / (M * wbar))
             eta = mp.cbrt(mp.zeta(3)) / 2 * (15 * mp.root(N, 6) * a_sc / a_ho) ** 0.4
-            frac = 1 - t**3 - eta * mp.zeta(2) / mp.zeta(3) * t**2 * (1 - t**3) ** 0.4
+            # floored at 0, as gas.condensate_fraction is: just below T_c the
+            # interaction shift leaves no condensate, and mu would turn complex
+            frac = max(1 - t**3 - eta * mp.zeta(2) / mp.zeta(3) * t**2 * (1 - t**3) ** 0.4, 0)
             mu = eta * kT / t * frac**0.4
             kappa = (1 - frac) / t**3
             R_c = mp.sqrt(2 * mu / (M * omega_r**2))
             amp = M**2 * omega_r**2 / (8 * mp.pi * hbar**2 * a_sc)
 
         def ladder(v):
-            return kappa * mp.re(mp.polylog(1.5, fugacity * mp.exp(-v)))
+            return kappa * mp_bose_three_halves(v - mp.ln(fugacity))
 
     # observables at other detunings integrate over the same nodes
     memo = {}
@@ -755,6 +787,17 @@ def mp_thermal_cloud(stat, n_atoms, a_sc, trap, T):
     L = mp.sqrt(4 * mp.pi * s_end**5 * rho_0 / (3 * eps**3 * N) * mp.quad(
         lambda y: y**4 * rho(s_end * y) / rho_0, [0, R_c / s_end, 1]))
     return rho, L, s_end, R_c
+
+
+class TestBoseThreeHalves:
+    def test_robinson_expansion_is_polylog(self):
+        # both sides of the switch at u = pi, the cusp at u = 0 and the
+        # largest cancellation just below pi
+        for digits in (15, 20):
+            with mp.workdps(digits):
+                for u in (0, mp.mpf("1e-6"), mp.mpf("0.3"), 1, 3, mp.pi * (1 - mp.eps), mp.pi, 5):
+                    want = mp.polylog(1.5, mp.exp(-u))
+                    assert abs(mp_bose_three_halves(mp.mpf(u)) / want - 1) < 10 ** (2 - digits), u
 
 
 class TestThermalMpmathOracle:
@@ -819,15 +862,24 @@ def benchmark_workload(name):
     return wl, [(r[0], x, *map(float, r[2:])) for r, x in zip(rows, xs)]
 
 
+def run_kelvin(wl, x):
+    """The temperature of the row with control value x as the run takes it
+    from the workload's config: x, or sweep.temperature, times the run's
+    temperature unit.  wl.kelvin rounds hbar to ten digits, 6e-10 off."""
+    config = parse_config(wl.config_text())
+    reduced = x if config.sweep.axis == "temperature" else config.sweep.temperature
+    return reduced * config.temperature_unit
+
+
 class TestBenchmarkReferenceOracle:
     """The rows in perfbench/reference/, rebuilt from the seed-0 workloads of
     perfbench/workloads.py, against mpmath: the program wrote them, so they
     hold it to the oracles of this file, not only to itself."""
 
     def test_dsweep_rows(self):
-        # the local field is on: t_d and ln(transmission) from mp_observables
-        # on the densities of mp_thermal_cloud, the first and last detuning
-        # of each statistics; L at every row.  At 15 digits the oracle is
+        # the local field is on: L, t_d and ln(transmission) of every row,
+        # from mp_observables on the densities of mp_thermal_cloud, which the
+        # detunings of one statistics share.  At 15 digits the oracle is
         # within 1e-15 of its 20-digit values and takes half the time.
         wl, rows = benchmark_workload("dsweep")
         trap = TrapGeometry(2.0 * math.pi * 69.0, 1.0 / 3.0)
@@ -835,12 +887,12 @@ class TestBenchmarkReferenceOracle:
             mine = [r for r in rows if r[0] == stat]
             with mp.workdps(15):
                 rho, L, s_end, R_c = mp_thermal_cloud(
-                    Statistics(stat), 3.8e6, 2.75e-9, trap, wl.kelvin(mine[0][1]))
+                    Statistics(stat), 3.8e6, 2.75e-9, trap, run_kelvin(wl, mine[0][1]))
                 expected = [mp_observables(rho, mp.mpf(trap.epsilon), L, row[1], 7.5e-6, s_end,
-                                           (R_c,)) for row in (mine[0], mine[-1])]
+                                           (R_c,)) for row in mine]
             for _, _, L_m, _, _, _ in mine:
                 assert L_m == pytest.approx(float(L), rel=1e-9, abs=0.0), stat
-            for row, (t_d, ln_T) in zip((mine[0], mine[-1]), expected):
+            for row, (t_d, ln_T) in zip(mine, expected):
                 assert row[3] == pytest.approx(float(t_d), rel=1e-9, abs=0.0), (stat, row[1])
                 assert math.log(row[5]) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0), (
                     stat, row[1])
@@ -867,7 +919,7 @@ class TestBenchmarkReferenceOracle:
                 return -mp.polylog(n, -mp.exp(x))
 
             for _, x, L_m, t_d, _, _ in rows:
-                kT = k_B * mp.mpf(wl.kelvin(x))
+                kT = k_B * mp.mpf(run_kelvin(wl, x))
                 target = N * (hbar * wbar / kT) ** 3
                 x_top = mp.findroot(lambda u: f(3, u) - target, mp.cbrt(6 * target))
                 a = M * omega_r**2 / (2 * kT)
@@ -930,15 +982,21 @@ class TestPresetReferenceOracle:
             check_rows_against_oracle(config, picked, T, [r[1] for r in picked])
 
     def test_fig1_rows(self):
-        # the lowest and highest T of Bose and Boltzmann.  Fermi rows 0, 10,
-        # 11 and 63, at beta mu = 19.2, 4.13, 3.74 and -1.88: the coldest
-        # density, through the fit's pieces on [6, 20], [2, 6] and
-        # [ln 1/2, 2] and the power series, two through the last two pieces
-        # and the series, and one through the series alone
+        # the lowest and highest T of Boltzmann.  Bose rows 0, 15, 28, 29 and
+        # 63: 0.1, 0.552 (N_0/N = 0.73) and 0.944 T_c, the last row with a
+        # condensate, then 0.975 T_c, saturated with none, and 2 T_c.  Fermi
+        # rows 0, 10, 11, 22, 33 and 63, at beta mu = 19.2, 4.13, 3.74, 1.27,
+        # 0.02 and -1.88: the coldest density, through the fit's pieces on
+        # [6, 20], [2, 6] and [ln 1/2, 2] and the power series, two through
+        # the last two pieces and the series, two through the last piece and
+        # the series (row 33 is the last with beta mu > ln 0.95, which the
+        # closed form of TestNondegenerateClosedForm leaves here), and one
+        # through the series alone
         config, rows = preset_reference("fig1")
         T_c, points = config.scales.T_c, config.sweep.points
-        picked = {Statistics.FERMI: (0, 10, 11, points - 1),
-                  Statistics.BOSE: (0, points - 1), Statistics.BOLTZMANN: (0, points - 1)}
+        picked = {Statistics.FERMI: (0, 10, 11, 22, 33, points - 1),
+                  Statistics.BOSE: (0, 15, 28, 29, points - 1),
+                  Statistics.BOLTZMANN: (0, points - 1)}
         for stat, indices in picked.items():
             mine = [r for r in rows if r[0] is stat]
             for i in indices:
