@@ -22,11 +22,9 @@ import atexit
 import gc
 import math
 import os
-import re
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from pathlib import Path
 
 from .constants import c as C_LIGHT
 from .gas import (
@@ -37,7 +35,6 @@ from .gas import (
     require_temperature_in_range,
     thermal_wavelength,
 )
-from .numerics import replace
 from .optics import ProbeParams, effective_group_velocity
 
 
@@ -98,6 +95,7 @@ class SweepRow(namedtuple("SweepRow", "statistics x L_m t_d_s v_g_mps transmissi
     outside (0, c] raises OutputRowError."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, statistics: str, x: float, L_m: float, t_d_s: float, v_g_mps: float,
                 transmission: float):
@@ -119,9 +117,8 @@ CSV_HEADER = ",".join(SweepRow._fields)
 
 
 _LENGTH_SUFFIX = {
-    "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
+    "": 1.0, "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
 }
-_LENGTH = re.compile(rf"(.+?)\s*({'|'.join(_LENGTH_SUFFIX)})?")
 _BOOLEAN = {**dict.fromkeys(("true", "on", "yes", "1"), True),
             **dict.fromkeys(("false", "off", "no", "0"), False)}
 
@@ -145,10 +142,11 @@ def _integer(text: str) -> int:
 
 
 def _length(text: str) -> float:
-    """Metres from ``7.5 um``, ``7.5um`` or ``7.5e-6``."""
-    match = _LENGTH.fullmatch(text)
+    """Metres from ``7.5 um``, ``7.5um`` or ``7.5e-6``: the number is the
+    shortest head of the text that leaves only blanks and at most a unit."""
+    end = next((i for i in range(1, len(text) + 1) if text[i:].lstrip() in _LENGTH_SUFFIX), 0)
     try:
-        return float(match[1]) * _LENGTH_SUFFIX[match[2] or "m"]
+        return float(text[:end]) * _LENGTH_SUFFIX[text[end:].lstrip()]
     except ValueError:
         raise ValueError(f"cannot parse length from {text!r}") from None
 
@@ -321,7 +319,8 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str | os.PathLike) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     # the byte-order mark some editors save first, without the utf-8-sig codec
@@ -336,13 +335,13 @@ def preset_text(name: str) -> str:
 
 
 def _sweep_point(config: RunConfig, stat: Statistics, x: float) -> SweepRow:
-    spec = replace(config.gas, statistics=stat)
+    spec = config.gas._replace(statistics=stat)
     if config.sweep.axis == "temperature":
         T = x * config.temperature_unit
         probe = config.probe
     else:
         T = config.sweep.temperature * config.temperature_unit
-        probe = replace(config.probe, delta=x * config.probe.gamma)
+        probe = config.probe._replace(delta=x * config.probe.gamma)
     return SweepRow(stat.value, x, *effective_group_velocity(spec, config.trap, probe, T))
 
 
@@ -389,7 +388,8 @@ def write_csv(rows: Sequence[SweepRow], path: str | os.PathLike) -> None:
 
 def read_csv(path: str | os.PathLike) -> list[SweepRow]:
     """Inverse of write_csv (used by the round-trip checks)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
     rows = []
@@ -606,7 +606,10 @@ def _parse_command_line(argv: Sequence[str]) -> tuple[str, str, dict[str, str]]:
     if len(configs) != 1:
         raise ValueError(f"{command} takes one CONFIG, got {len(configs)}")
     if command == "run":
-        options.setdefault("--out", Path(configs[0]).stem + "_sweep.csv")
+        # Path(CONFIG).stem: the last name other than ".", less its suffix
+        name = next((n for n in reversed(configs[0].split("/")) if n not in ("", ".")), "")
+        head, _, suffix = name.rpartition(".")
+        options.setdefault("--out", (head if head and suffix else name) + "_sweep.csv")
         seen = {os.path.realpath(configs[0]): "CONFIG"}
         for name in ("--out", "--chart"):
             if name in options:

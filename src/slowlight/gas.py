@@ -59,6 +59,7 @@ class TrapGeometry(namedtuple("TrapGeometry", "omega_r epsilon")):
     aspect ratio epsilon = omega_z / omega_r."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, omega_r: float, epsilon: float):
         self = tuple.__new__(cls, (omega_r, epsilon))
@@ -79,6 +80,7 @@ class GasSpec(namedtuple("GasSpec", "statistics n_atoms mass a_sc")):
     length a_sc (m, used only for Bose statistics)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, statistics: Statistics, n_atoms: float, mass: float, a_sc: float = 0.0):
         self = tuple.__new__(cls, (Statistics(statistics), n_atoms, mass, a_sc))

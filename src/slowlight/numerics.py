@@ -60,15 +60,6 @@ def require_finite(obj: object, *fields: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def replace(record, **changes):
-    """Copy of a record with some fields changed.
-
-    The package's records are namedtuple subclasses that run their checks
-    in __new__; the copy goes through the constructor so that the checks
-    run again, which namedtuple's own _replace would skip."""
-    return type(record)(**{**record._asdict(), **changes})
-
-
 class NumericTolerances(namedtuple("NumericTolerances", "rel_tol_quadrature")):
     """The quadrature tolerance of integrate_1d, integrate_cylindrical and
     the optics observables built on them, the only routines whose result
@@ -82,6 +73,7 @@ class NumericTolerances(namedtuple("NumericTolerances", "rel_tol_quadrature")):
     because the benchmark's tracer and layer timings call them with one."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
     rel_tol_root = 1e-12
     series_cutoff = 0.5
     max_iterations = 400  # series terms, root steps, quadrature panels

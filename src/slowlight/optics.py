@@ -53,7 +53,6 @@ from .numerics import (
     NumericTolerances,
     integrate_1d,
     integrate_cylindrical,  # the perfbench tracer wraps this name
-    replace,
     require_finite,
 )
 
@@ -77,6 +76,7 @@ class ProbeParams(namedtuple("ProbeParams", "omega_0 gamma delta pinhole_R local
     pinhole_R (m), and whether the local-field denominator is on."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, omega_0: float, gamma: float, delta: float, pinhole_R: float,
                 local_field_on: bool = True):
@@ -179,7 +179,7 @@ def group_velocity_from_dispersion(rho: float, probe: ProbeParams) -> float:
     """
 
     def chi_re_at(omega: float) -> float:
-        shifted = replace(probe, delta=omega - probe.omega_0)
+        shifted = probe._replace(delta=omega - probe.omega_0)
         return susceptibility(rho, shifted).chi_re
 
     omega = probe.omega_0 + probe.delta

@@ -1,5 +1,6 @@
 """Config parsing, sweep orchestration, CSV, and SVG output."""
 
+import copy
 import gc
 import hashlib
 import math
@@ -277,6 +278,26 @@ class TestParseConfig:
             cfg = parse_config(TINY_SWEEP.replace("5 um", text))
             assert cfg.probe.pinhole_R == pytest.approx(value)
 
+    # the number is the shortest head that leaves blanks and at most a unit
+    @pytest.mark.parametrize("text,metres", [
+        ("7.5 um", 7.499999999999999e-06), ("7.5um", 7.499999999999999e-06),
+        ("7.5e-6", 7.5e-06), ("2.75 nm", 2.7500000000000002e-09),
+        ("5 µm", 4.9999999999999996e-06), ("3cm", 0.03), ("1 pm", 1e-12), ("1e-3m", 0.001),
+        ("7.5  mm", 0.0075), ("1_000 nm", 1.0000000000000002e-06),
+        ("nan", math.nan), ("inf", math.inf),
+    ])
+    def test_length_values(self, text, metres):
+        assert repr(cli._length(text)) == repr(metres)
+        if not math.isfinite(metres):  # parsed, then refused by the finite check
+            with pytest.raises(ConfigError, match="probe.pinhole_radius: must be finite"):
+                parse_config(TINY_SWEEP.replace("5 um", text))
+
+    @pytest.mark.parametrize("text", ["um", "m", "7.5 furlongs", "7.5 m m", "1/3 m"])
+    def test_length_refusals(self, text):
+        with pytest.raises(ValueError) as refused:
+            cli._length(text)
+        assert str(refused.value) == f"cannot parse length from {text!r}"
+
     def test_temperature_unit_selection(self):
         cfg = parse_config(TINY_SWEEP)
         assert cfg.temperature_unit_name == "T_c"
@@ -388,16 +409,21 @@ class TestCsv:
         assert "3.33333333333e-01" in body
         assert body.endswith("\n") and "\r" not in body
 
-    @pytest.mark.parametrize("field,value", [
-        ("L_m", math.nan), ("t_d_s", math.inf), ("x", math.nan),
-        ("transmission", 0.0), ("transmission", 1.5),
-        ("v_g_mps", 0.0), ("v_g_mps", 3.1e8),
-    ])
-    def test_bad_row_rejected_without_writing(self, tmp_path, field, value):
+    # the bad row is refused where it is built, so write_csv never runs
+    # and no file is left behind
+    @pytest.mark.parametrize("field,value,message", [
+        ("L_m", math.nan, "L_m must be finite"), ("t_d_s", math.inf, "t_d_s must be finite"),
+        ("x", math.nan, "x must be finite"),
+        ("transmission", 0.0, "gas.atom_count.*probe.detuning_gamma"),
+        ("transmission", 1.5, r"transmission must be in \(0, 1\], got 1.5"),
+        ("v_g_mps", 0.0, "v_g must be positive"), ("v_g_mps", 3.1e8, "at most c"),
+    ], ids=["L_m-nan", "t_d_s-inf", "x-nan", "transmission-0.0", "transmission-1.5",
+            "v_g_mps-0.0", "v_g_mps-310000000.0"])
+    def test_bad_row_rejected_without_writing(self, tmp_path, field, value, message):
         values = dict(statistics="bose", x=0.5, L_m=2.9e-5, t_d_s=4.9e-8, v_g_mps=595.0,
                       transmission=0.8126)
         path = tmp_path / "bad.csv"
-        with pytest.raises(OutputRowError):
+        with pytest.raises(OutputRowError, match=message):
             write_csv([SweepRow(**values), SweepRow(**{**values, field: value})], path)
         assert not path.exists()
 
@@ -805,6 +831,17 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out.startswith(cli.USAGE + "\n") and captured.err == ""
 
+    # --out defaults to CONFIG's stem, as pathlib reads it, then _sweep.csv
+    @pytest.mark.parametrize("config,out", [
+        ("tiny.config", "tiny_sweep.csv"), ("dir/a.b.preset", "a.b_sweep.csv"),
+        ("x.", "x._sweep.csv"), ("x.y.", "x.y._sweep.csv"), (".hidden", ".hidden_sweep.csv"),
+        ("..x", "._sweep.csv"), ("plain", "plain_sweep.csv"),
+        ("dir/", "dir_sweep.csv"), ("dir/.", "dir_sweep.csv"), ("dir//x.y", "x_sweep.csv"),
+        ("a/..", ".._sweep.csv"),
+    ])
+    def test_default_out_is_the_config_stem(self, config, out):
+        assert cli._parse_command_line(["run", config])[2]["--out"] == out
+
     def test_option_forms_and_order(self, tmp_path):
         cfg = self.write_config(tmp_path)
         spaced, joined, first = (tmp_path / f"{name}.csv" for name in ("spaced", "joined", "first"))
@@ -819,9 +856,11 @@ class TestCommandLine:
         # numpy and scipy are test dependencies only, and the records need
         # neither dataclasses nor inspect: a whole run, log grid included,
         # must load none of them, nor typing or importlib.resources, nor
-        # argparse and the gettext and locale it brings.  The child runs
-        # under -S, since a site .pth may preload typing and
-        # importlib.resources; PYTHONPATH then finds the package itself.
+        # argparse and the gettext and locale it brings, nor pathlib and re,
+        # which a stock interpreter's site does not load either.  The child
+        # runs under -S, since a site .pth may preload typing,
+        # importlib.resources, pathlib and re; PYTHONPATH then finds the
+        # package itself.
         cfg = tmp_path / "log.config"
         cfg.write_text(TINY_SWEEP.replace("sweep.points          = 3",
                                           "sweep.points          = 2\nsweep.scale = log"),
@@ -831,7 +870,7 @@ class TestCommandLine:
             "from slowlight.cli import main\n"
             f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'log.csv')!r}]) == 0\n"
             "banned = {'dataclasses', 'inspect', 'typing', 'importlib.resources',\n"
-            "          'argparse', 'gettext', 'locale', 'cmath'}\n"
+            "          'argparse', 'gettext', 'locale', 'cmath', 'pathlib', 're'}\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.partition('.')[0] in ('numpy', 'scipy') or m in banned))\n"
         )
@@ -909,13 +948,61 @@ class TestRecords:
             setattr(a, field, 1.0)
         assert a == b
 
-    @pytest.mark.parametrize("v_g,transmission,message", [
-        (595.0, 0.0, "gas.atom_count.*probe.detuning_gamma"), (3.1e8, 0.8, "at most c"),
+    ROW = SweepRow("bose", 0.5, 2.9e-5, 4.9e-8, 595.0, 0.8126)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("transmission", 0.0, "gas.atom_count.*probe.detuning_gamma"),
+        ("v_g_mps", 3.1e8, "at most c"),
     ], ids=["opaque", "v_g_above_c"])
-    def test_an_unphysical_sweep_row_is_refused_where_it_is_built(self, v_g, transmission,
-                                                                  message):
+    def test_an_unphysical_sweep_row_is_refused_where_it_is_built(self, field, value, message):
         with pytest.raises(OutputRowError, match=message):
-            SweepRow("bose", 0.5, 2.9e-5, 4.9e-8, v_g, transmission)
+            SweepRow(**{**self.ROW._asdict(), field: value})
+
+    # every way to build or copy a checked record runs its constructor's
+    # checks: _make, _replace (which calls _make) and copy.replace (which
+    # calls _replace) raise the constructor's own error and message
+    @pytest.mark.parametrize("record,field,value", [
+        (GasSpec(Statistics.BOSE, 3.8e6, 3.81754e-26, 2.75e-9), "n_atoms", 0.5),
+        (GasSpec(Statistics.BOSE, 3.8e6, 3.81754e-26, 2.75e-9), "a_sc", 0.0),
+        (TrapGeometry(2.0 * math.pi * 69.0, 1.0 / 3.0), "epsilon", math.nan),
+        (NumericTolerances(1e-9), "rel_tol_quadrature", 0.0),
+        (ProbeParams(3.2e15, 6.3e7, 6.3e8, 7.5e-6), "delta", 0.0),
+        (ProbeParams(3.2e15, 6.3e7, 6.3e8, 7.5e-6), "local_field_on", 1),
+        (ROW, "transmission", 0.0),
+        (ROW, "x", math.nan),
+        (ROW, "v_g_mps", 3.1e8),
+    ], ids=["GasSpec-n_atoms", "GasSpec-a_sc", "TrapGeometry-epsilon", "NumericTolerances",
+            "ProbeParams-delta", "ProbeParams-local_field_on", "SweepRow-opaque", "SweepRow-x",
+            "SweepRow-v_g"])
+    @pytest.mark.parametrize("way", [
+        "_make", "_replace",
+        pytest.param("copy.replace", marks=pytest.mark.skipif(
+            sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")),
+    ])
+    def test_a_copy_is_checked_as_the_constructor_checks(self, record, field, value, way):
+        values = {**record._asdict(), field: value}
+        with pytest.raises(ValueError) as built:
+            type(record)(**values)
+        build = {"_make": lambda: type(record)._make(values.values()),
+                 "_replace": lambda: record._replace(**{field: value}),
+                 "copy.replace": lambda: copy.replace(record, **{field: value})}[way]
+        with pytest.raises(ValueError) as copied:
+            build()
+        assert type(copied.value) is type(built.value)
+        assert str(copied.value) == str(built.value)
+
+    @pytest.mark.parametrize("way", ["_make", "_replace"])
+    def test_a_copy_below_three_gamma_warns_from_the_package(self, way):
+        # pyproject's error:::slowlight filter needs the warning attributed
+        # to a frame of the package, as it is for a sweep's own copies
+        probe = ProbeParams(3.2e15, 6.3e7, 6.3e8, 7.5e-6)
+        build = {"_make": lambda: ProbeParams._make([*probe[:2], 2.0 * probe.gamma, *probe[3:]]),
+                 "_replace": lambda: probe._replace(delta=2.0 * probe.gamma)}[way]
+        with pytest.warns(UserWarning, match=r"detuning below 3\*gamma") as caught:
+            copied = build()
+        assert copied.delta == 2.0 * probe.gamma
+        package = os.path.dirname(slowlight.__file__)
+        assert [os.path.dirname(w.filename) for w in caught] == [package]
 
 
 class TestPackage:
