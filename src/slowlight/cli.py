@@ -91,14 +91,19 @@ class OutputRowError(ValueError):
 class SweepRow(namedtuple("SweepRow", "statistics x L_m t_d_s v_g_mps transmission")):
     """One CSV row: the statistics, then the numbers, in the order of the
     columns.  A row is checked where it is built, by the run, read_csv or a
-    caller: a non-finite number, a transmission outside (0, 1] or a v_g
-    outside (0, c] raises OutputRowError."""
+    caller: a statistics other than fermi, bose or boltzmann, a non-finite number,
+    a transmission outside (0, 1] or a v_g outside (0, c] raises OutputRowError."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, statistics: str, x: float, L_m: float, t_d_s: float, v_g_mps: float,
                 transmission: float):
+        try:
+            statistics = Statistics(statistics).value
+        except ValueError:
+            raise OutputRowError(
+                f"unknown statistics {statistics!r} (use fermi, bose, boltzmann)") from None
         self = tuple.__new__(cls, (statistics, x, L_m, t_d_s, v_g_mps, transmission))
         for name, value in zip(self._fields[1:], self[1:]):
             if not math.isfinite(value):
@@ -525,7 +530,7 @@ def emit_chart(
     parts += [_svg_text(mid_x, _CHART_H - 14, 14, x_label, "middle"),
               _svg_text(22, mid_y, 14, y_label, "middle", f"rotate(-90 22 {mid_y})")]
     for index, (name, points) in enumerate(series.items()):
-        color = _COLORS.get(name, "#555555")
+        color = _COLORS[name]
         coords = " ".join(f"{x_pix(x):.2f},{y_pix(y):.2f}" for x, y in points)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'

@@ -14,7 +14,8 @@ Fermi-Dirac function's):
 and f_nu(e^x) every order for x <= ln(series_cutoff), beyond it the orders
 of the density (3/2), the columns and mu roots (2, 3) and the moment (4):
   * x <= ln(series_cutoff)        alternating power series, any order
-  * nu = 2, 3, 4 beyond it        exact reflection and the square formula
+  * nu = 2, 3, 4 beyond it        the square formula up to x = 0, then the
+                                  exact reflection, P_2, P_3, P_4 written out
   * nu = 3/2 beyond it            a checked-in Chebyshev fit in four pieces,
                                   three in x up to x = 20 and one in
                                   (20/x)^2 past it (3/2 is the order of
@@ -132,9 +133,8 @@ def riemann_zeta(s: float) -> float:
     )
 
 
-# eta(2k) = (1 - 2^{1-2k}) zeta(2k), k = 1, 2: the coefficients of the front
-# polynomials P_2, P_3 and P_4, which need eta(2), ..., eta(n - 1)
-_ETA_EVEN = tuple((1.0 - 2.0 ** (1 - 2 * k)) * riemann_zeta(2 * k) for k in (1, 2))
+_ZETA_2 = riemann_zeta(2)
+_ZETA_4 = riemann_zeta(4)
 
 
 def _is_integer(s: float) -> bool:
@@ -249,23 +249,13 @@ def _fd32_fit(piece: int, x: float) -> float:
     return c0 + t * b1 - b2
 
 
-def _polylog_negative_axis(s: float, x: float) -> float:
+def _polylog_negative_axis(x: float) -> float:
     # Li_{3/2}(-e^x), ln 1/2 <= x < 20, from _FD32_FIT's first three pieces; the
     # name stays because the benchmark's branch classifier spies on it.
     return -_fd32_fit(0 if x < 2.0 else 1 if x < 6.0 else 2, x)
 
 
-def _fd_front_polynomial(n: int, x: float) -> float:
-    # Closed even/odd polynomial P_n with f_n(e^x) = P_n(x) + (-1)^{n-1} f_n(e^-x).
-    acc = x**n / math.factorial(n)
-    pref = 1.0 / math.factorial(n - 1)
-    for m in range(1, n, 2):
-        eta_m1 = _ETA_EVEN[(m + 1) // 2 - 1]
-        acc += pref * 2.0 * math.comb(n - 1, m) * math.factorial(m) * eta_m1 * x ** (n - 1 - m)
-    return acc
-
-
-def _fd_sommerfeld(nu: float, x: float) -> float:
+def _fd_sommerfeld(x: float) -> float:
     # f_{3/2}(e^x) for x >= 20 from the last _FD32_FIT piece, in u = (20/x)^2;
     # the name stays because the benchmark's branch classifier spies on it.
     return _fd32_fit(3, (SOMMERFELD_SWITCH / x) ** 2) * x**1.5 / math.gamma(2.5)
@@ -296,10 +286,14 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
 
 
 def _fd_integer(n: int, x: float) -> float:
-    # f_n(e^x) for n = 2, 3 or 4; exact reflection for x > 0.
+    # f_n(e^x) for n = 2, 3 or 4; for x > 0 the exact reflection
+    # f_n(e^x) = P_n(x) + (-1)^(n-1) f_n(e^-x), P_n in zeta(2) and zeta(4)
     if x > 0.0:
-        sign = 1.0 if n % 2 else -1.0
-        return _fd_front_polynomial(n, x) + sign * _fd_integer(n, -x)
+        if n == 2:
+            return x**2 / 2 + _ZETA_2 - _fd_integer(2, -x)
+        if n == 3:
+            return x**3 / 6 + _ZETA_2 * x + _fd_integer(3, -x)
+        return x**4 / 24 + 0.5 * _ZETA_2 * x**2 + 1.75 * _ZETA_4 - _fd_integer(4, -x)
     y = math.exp(x)
     if y <= NumericTolerances.series_cutoff:
         return -_polylog_series(n, -y)
@@ -327,18 +321,16 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
         if not nu > -math.inf:  # as in polylog
             raise DomainError(f"the order of Li_s must be a number, got s={nu}")
         return -_polylog_series(nu, -math.exp(x))
-    if nu == 1.5:
-        if x < SOMMERFELD_SWITCH:
-            return -_polylog_negative_axis(nu, x)
-        if x >= SOMMERFELD_SWITCH:
-            return _fd_sommerfeld(nu, x)
-    elif nu not in (2.0, 3.0, 4.0):
+    if nu not in (1.5, 2.0, 3.0, 4.0):
         raise DomainError(
             f"f_nu(e^x) beyond the series region takes nu = 3/2, 2, 3 or 4, got nu={nu}")
-    elif x == x:
+    if math.isnan(x):
+        raise DomainError(f"f_nu(e^x) takes a number x, got x={x}")
+    if nu != 1.5:
         return _fd_integer(int(nu), x)
-    # only a NaN x fails every comparison above
-    raise DomainError(f"f_nu(e^x) takes a number x, got x={x}")
+    if x < SOMMERFELD_SWITCH:
+        return -_polylog_negative_axis(x)
+    return _fd_sommerfeld(x)
 
 
 # QUADPACK's qk21 rule (Piessens et al. 1983): the 21 Kronrod abscissae on

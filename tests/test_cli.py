@@ -433,6 +433,13 @@ class TestCsv:
         with pytest.raises(OutputRowError, match="transmission"):
             read_csv(path)
 
+    def test_read_csv_refuses_a_statistics_no_run_writes(self, tmp_path):
+        path = tmp_path / "helium.csv"
+        path.write_text(f"{CSV_HEADER}\nhelium,0.5,1e-5,1e-8,100,0.5\n", encoding="utf-8")
+        with pytest.raises(OutputRowError,
+                           match=r"unknown statistics 'helium' \(use fermi, bose, boltzmann\)"):
+            read_csv(path)
+
     @pytest.mark.parametrize("line", ["bose,0.5,1,1,1,0.5,7", "bose,0.5,1,1,1"])
     def test_read_csv_refuses_a_wrong_column_count(self, tmp_path, line):
         path = tmp_path / "columns.csv"
@@ -971,9 +978,13 @@ class TestRecords:
         (ROW, "transmission", 0.0),
         (ROW, "x", math.nan),
         (ROW, "v_g_mps", 3.1e8),
+        (ROW, "statistics", "bose,1"),
+        (ROW, "statistics", ""),
+        (ROW, "statistics", "helium"),
     ], ids=["GasSpec-n_atoms", "GasSpec-a_sc", "TrapGeometry-epsilon", "NumericTolerances",
             "ProbeParams-delta", "ProbeParams-local_field_on", "SweepRow-opaque", "SweepRow-x",
-            "SweepRow-v_g"])
+            "SweepRow-v_g", "SweepRow-statistics-with-comma", "SweepRow-statistics-empty",
+            "SweepRow-statistics-helium"])
     @pytest.mark.parametrize("way", [
         "_make", "_replace",
         pytest.param("copy.replace", marks=pytest.mark.skipif(

@@ -213,8 +213,8 @@ class TestFermiDirac:
                 fermi_dirac_f(1.0, x)
 
     def test_integer_orders_end_at_four(self):
-        # the front polynomial of f_n needs eta(2), ..., eta(n - 1), and the
-        # table holds eta(2) and eta(4): n = 4, the axial moment's, is the last
+        # past the series, _fd_integer writes out the reflection polynomials
+        # P_2, P_3 and P_4: n = 4, the axial moment's, is the last order served
         for x in (-0.5, 0.3, 3.0, 12.0, 40.0):
             exact = float(complex(-mp.polylog(4, -mp.exp(mp.mpf(x)))).real)
             assert fermi_dirac_f(4.0, x) == pytest.approx(exact, rel=1e-14, abs=0.0), x
@@ -254,7 +254,7 @@ class TestFermiDirac:
         # exact value on both sides of the switchover
         for x in (SOMMERFELD_SWITCH - 3.0, SOMMERFELD_SWITCH, SOMMERFELD_SWITCH + 3.0):
             exact = float(mp_fd_three_halves(x))
-            asym = _fd_sommerfeld(1.5, x)
+            asym = _fd_sommerfeld(x)
             full = fermi_dirac_f(1.5, x)
             assert asym == pytest.approx(exact, rel=10 * DEFAULT_TOL.rel_tol_quadrature)
             assert full == pytest.approx(exact, rel=10 * DEFAULT_TOL.rel_tol_quadrature)
@@ -276,7 +276,7 @@ class TestFermiDirac:
         # (4 / 3 sqrt(pi)) x^(3/2) (1 + pi^2 / (8 x^2) + ...)
         x = 25.0
         leading = 4.0 / (3.0 * math.sqrt(math.pi)) * x**1.5 * (1.0 + math.pi**2 / (8 * x * x))
-        assert _fd_sommerfeld(1.5, x) == pytest.approx(leading, rel=1e-5)
+        assert _fd_sommerfeld(x) == pytest.approx(leading, rel=1e-5)
 
 
 FIT_EDGES = (math.log(0.5), 2.0, 6.0, 20.0)
@@ -375,7 +375,7 @@ class TestThreeHalvesFit:
         assert len(points) >= 100
         for x in points:
             exact = float(mp_fd_three_halves(x))
-            assert -_polylog_negative_axis(1.5, x) == pytest.approx(exact, rel=1e-15, abs=0.0), x
+            assert -_polylog_negative_axis(x) == pytest.approx(exact, rel=1e-15, abs=0.0), x
 
     def test_tail_against_mpmath(self):
         points = tail_check_points(60)
@@ -626,10 +626,10 @@ class TestFindRoot:
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-13)
 
 
-# the orders the package evaluates zeta at: the polylog orders, eta(2) and
-# eta(4) of the front polynomials P_n (_ETA_EVEN) and the near-one coefficients
-# zeta(s - k), k <= 24; and the even integers up to 24, where zeta is a
-# rational multiple of pi^s
+# the orders the package evaluates zeta at: the polylog orders, zeta(2) and
+# zeta(4) of the reflection polynomials P_n (_fd_integer), the near-one
+# coefficients zeta(s - k), k <= 24; and the even integers up to 24, where
+# zeta is a rational multiple of pi^s
 ZETA_ARGS = sorted(
     {0.5, 0.75, 1.5, 2.5, 3.0, 4.0}
     | {2.0 * k for k in range(1, 13)}
