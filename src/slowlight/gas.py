@@ -37,11 +37,10 @@ from .numerics import (
     integrate_1d,
     polylog,
     require_finite,
-    riemann_zeta,
 )
 
-ZETA_3 = riemann_zeta(3.0)
-ZETA_2 = riemann_zeta(2.0)
+ZETA_3 = polylog(3.0, 1.0)  # zeta(n) = Li_n(1)
+ZETA_2 = polylog(2.0, 1.0)
 
 
 class UnsupportedStatisticsError(ValueError):

@@ -9,8 +9,9 @@ quadrature, so the special functions are kept cheap.
 Each function takes only what the cloud passes.  Li_s(z) takes 0 <= z <= 1,
 every Bose fugacity (the negative axis, Li_s(-e^x) = -f_s(e^x), is the
 Fermi-Dirac function's):
-  * z <= series_cutoff            direct power series
-  * series_cutoff < z <= 1        expansion in ln z about the z=1 point
+  * z <= series_cutoff            direct power series, any order
+  * s = 3/2, 2, 3, 4 beyond it    expansion in ln z about the z=1 point
+  * any other s beyond it         DomainError
 and f_nu(e^x) every order for x <= ln(series_cutoff), beyond it the orders
 of the density (3/2), the columns and mu roots (2, 3) and the moment (4):
   * x <= ln(series_cutoff)        alternating power series, any order
@@ -24,11 +25,12 @@ of the density (3/2), the columns and mu roots (2, 3) and the moment (4):
 The branches overlap to well below the working tolerances; tests pin the
 agreement windows.
 
-Riemann zeta comes from an Euler-Maclaurin sum (s >= 1/2) and the
-functional equation (s < 1/2).  Quadrature is an adaptive 21-point
-Gauss-Kronrod rule with QUADPACK's error estimate (Piessens et al. 1983)
-and roots come from Brent's bracketing method (Brent 1973), both in plain
-Python; scipy serves only as the tests' oracle.
+The expansion about z = 1 reads checked-in, correctly rounded values of
+Riemann zeta for the four orders it serves; no zeta function is computed.
+Quadrature is an adaptive 21-point Gauss-Kronrod rule with QUADPACK's error
+estimate (Piessens et al. 1983) and roots come from Brent's bracketing
+method (Brent 1973), both in plain Python; scipy serves only as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from functools import lru_cache
 
 
 class DomainError(ValueError):
@@ -92,53 +93,39 @@ DEFAULT_TOL = NumericTolerances()
 # f_{3/2}(e^x) takes the last _FD32_FIT piece, in (20/x)^2, from here on.
 SOMMERFELD_SWITCH = 20.0
 
-_B2K = (  # Bernoulli numbers B_2, B_4, ..., B_24
-    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
-    7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330,
-    854513.0 / 138, -236364091.0 / 2730,
+# The orders past the series cutoff: 3/2 of every LDA density, 2 and 3 of the
+# columns and the mu roots, 4 of the axial moment.
+_ORDERS = (1.5, 2.0, 3.0, 4.0)
+
+# zeta at the arguments those orders reach, correctly rounded (mpmath at 40
+# digits; tests/test_numerics.py rebuilds every one): zeta(2), zeta(3) and
+# zeta(4), zeta(3/2 - k) for k = 0..16, and zeta(-m) = -B_{m+1}/(m + 1) for
+# m = 0..14, with B_1 = +1/2
+_ZETA_2, _ZETA_3, _ZETA_4 = 1.6449340668482264, 1.2020569031595942, 1.0823232337111381
+_ZETA_HALF = (
+    2.612375348685488, -1.4603545088095868, -0.20788622497735457, -0.025485201889833036,
+    0.008516928777850331, 0.004441011335479432, -0.0030916692472158338, -0.0026714580198992244,
+    0.0027467679395368687, 0.00326903957260022, -0.00441603287300489, -0.006672172296466641,
+    0.011146122473942813, 0.02039697871594279, -0.04057496748119458, -0.08717525590621725,
+    0.2011740493842269,
 )
-_EM_TERMS = len(_B2K)
-_EM_OFFSET = 20
+_ZETA_NEGATIVE = (
+    -1 / 2, -1 / 12, 0.0, 1 / 120, 0.0, -1 / 252, 0.0, 1 / 240, 0.0, -1 / 132, 0.0,
+    691 / 32760, 0.0, -1 / 12, 0.0,
+)
+_ZETA = {2.0: _ZETA_2, 3.0: _ZETA_3, 4.0: _ZETA_4,
+         **{1.5 - k: value for k, value in enumerate(_ZETA_HALF)},
+         **{-m: value for m, value in enumerate(_ZETA_NEGATIVE)}}
 
-
-def riemann_zeta(s: float) -> float:
-    """Riemann zeta at real s != 1: the Euler-Maclaurin sum for s >= 1/2,
-    the functional equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
-    zeta(1-s) below, exact at the zeros s = -2, -4, ... and at s = 0.
-    s = 1, NaN and +-inf raise DomainError."""
-    if s == 1.0:
-        raise DomainError("zeta has a pole at s = 1")
-    if not math.isfinite(s):
-        raise DomainError(f"zeta takes a finite s, got s={s}")
-    if s >= 0.5:
-        # Euler-Maclaurin: the terms n = 1..20, then the tail at t = 21
-        acc = 0.0
-        for n in range(1, _EM_OFFSET + 1):
-            acc += n ** (-s)
-        t = _EM_OFFSET + 1.0
-        acc += t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** (-s)
-        poch = s  # rising factorial (s)_{2j-1}
-        for j in range(1, _EM_TERMS + 1):
-            acc += _B2K[j - 1] / math.factorial(2 * j) * poch * t ** (1.0 - s - 2 * j)
-            poch *= (s + 2 * j - 1) * (s + 2 * j)
-        return acc
-    if s == 0.0:
-        return -0.5
-    if s < 0.0 and s % 2.0 == 0.0:
-        return 0.0
-    # sin(pi s / 2) with the argument reduced exactly to (-2 pi, 2 pi)
-    sine = math.sin(math.pi * math.fmod(0.5 * s, 2.0))
-    return (
-        2.0**s * math.pi ** (s - 1.0) * sine * math.gamma(1.0 - s) * riemann_zeta(1.0 - s)
-    )
-
-
-_ZETA_2 = riemann_zeta(2)
-_ZETA_4 = riemann_zeta(4)
-
-
-def _is_integer(s: float) -> bool:
-    return math.isfinite(s) and abs(s - round(s)) < 1e-12
+# zeta(s - k)/k!, k = 0..16, of the expansion of Li_s(e^mu) about mu = 0 for
+# each order; at an integer order's pole s - k = 1 the row holds H_k/k!, the
+# harmonic part of the pole term mu^k (H_k - ln(-mu))/k!.  The first term
+# left out, k = 17 at |mu| = ln 2, is below 5e-18 of Li_s.
+_NEAR_ONE = {
+    s: tuple((_ZETA[s - k] if s - k != 1.0 else sum(1 / i for i in range(1, k + 1)))
+             / math.factorial(k) for k in range(len(_ZETA_HALF)))
+    for s in _ORDERS
+}
 
 
 def _polylog_series(s: float, z: float) -> float:
@@ -154,40 +141,24 @@ def _polylog_series(s: float, z: float) -> float:
     raise NonConvergenceError(f"polylog series stalled at s={s}, z={z}")
 
 
-_LNZ_KMAX = 24
-
-
-@lru_cache(maxsize=64)
-def _lnz_coefficients(s: float) -> tuple[float, ...]:
-    # zeta(s - k)/k! for the expansion of Li_s(e^mu) about mu = 0; 0 at
-    # zeta's pole s - k = 1 of an order that _is_integer accepts, where
-    # _polylog_near_one puts its log term instead.
-    coeffs = []
-    fact = 1.0
-    for k in range(_LNZ_KMAX + 1):
-        if k:
-            fact *= k
-        u = s - k
-        coeffs.append(0.0 if abs(u - 1.0) < 1e-12 else riemann_zeta(u) / fact)
-    return tuple(coeffs)
-
-
 def _polylog_near_one(s: float, z: float) -> float:
-    # Li_s(e^mu) = Gamma(1-s)(-mu)^{s-1} + sum_k zeta(s-k) mu^k / k! for
-    # non-integer s; for integer s = n the pole term is mu^{n-1}(H_{n-1} -
-    # ln(-mu))/(n-1)! at k = n - 1 instead.  |mu| < 2pi.
+    # Li_s(e^mu) = sum_k _NEAR_ONE[s][k] mu^k plus, for s = 3/2, the term
+    # Gamma(1 - s)(-mu)^(s-1) with Gamma(-1/2) = -2 sqrt(pi), and for an integer
+    # s the log part -ln(-mu) mu^(s-1)/(s-1)! of the pole term.  |mu| <= ln 2.
     mu = math.log(z)
-    integer = _is_integer(s)
-    log_k = round(s) - 1 if integer else -1
-    acc = 0.0 if integer or mu == 0.0 else math.gamma(1.0 - s) * (-mu) ** (s - 1.0)
-    muk = 1.0
-    for k, c in enumerate(_lnz_coefficients(s)):
-        if k == log_k and mu != 0.0:
-            harmonic = sum(1.0 / i for i in range(1, k + 1))
-            acc += muk * (harmonic - math.log(-mu)) / math.factorial(k)
-        acc += c * muk
-        muk *= mu
-    return acc
+    row = _NEAR_ONE[s]
+    if mu == 0.0:
+        return row[0]
+    if s == 1.5:
+        pole = -2.0 * math.sqrt(-math.pi * mu)
+    else:
+        k = int(s) - 1
+        pole = -math.log(-mu) * mu**k / math.factorial(k)
+    acc = 0.0
+    for c in row[:0:-1]:
+        acc = acc * mu + c
+    # zeta(s) and the pole term first: for s = 3/2 they cancel to a fraction
+    return row[0] + pole + acc * mu
 
 
 # f_{3/2}(e^x) past the series in pieces (lo, hi, c), sum_k c[k] T_k(t) with
@@ -266,9 +237,10 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
     0 <= z <= 1, the fugacities of a Bose cloud; on the negative axis
     Li_s(z) = -fermi_dirac_f(s, ln(-z)).
 
-    DomainError names the argument it refuses: z outside that range or NaN,
-    an order s that is NaN or -inf, and above z = series_cutoff an order
-    that is not a finite s > 1."""
+    Above z = series_cutoff only the orders the cloud uses are served,
+    s = 3/2, 2, 3 and 4, as in fermi_dirac_f.  DomainError names the
+    argument it refuses: z outside that range or NaN, an order s that is NaN
+    or -inf, and above z = series_cutoff any other order."""
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"polylog takes 0 <= z <= 1, got z={z}; "
                           "for z < 0, Li_s(z) is -fermi_dirac_f(s, ln(-z))")
@@ -280,8 +252,9 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
         if not s > -math.inf:
             raise DomainError(f"the order of Li_s must be a number, got s={s}")
         return _polylog_series(s, z)
-    if not 1.0 < s < math.inf:
-        raise DomainError(f"polylog near z=1 requires a finite s > 1, got s={s}")
+    if s not in _ORDERS:
+        raise DomainError(
+            f"Li_s(z) for z > {tol.series_cutoff} takes s = 3/2, 2, 3 or 4, got s={s}")
     return _polylog_near_one(s, z)
 
 
@@ -321,7 +294,7 @@ def fermi_dirac_f(nu: float, x: float, tol: NumericTolerances = DEFAULT_TOL) -> 
         if not nu > -math.inf:  # as in polylog
             raise DomainError(f"the order of Li_s must be a number, got s={nu}")
         return -_polylog_series(nu, -math.exp(x))
-    if nu not in (1.5, 2.0, 3.0, 4.0):
+    if nu not in _ORDERS:
         raise DomainError(
             f"f_nu(e^x) beyond the series region takes nu = 3/2, 2, 3 or 4, got nu={nu}")
     if math.isnan(x):

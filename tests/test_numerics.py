@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import zeta as scipy_zeta
 
 from slowlight import numerics
+from slowlight.gas import ZETA_3
 from slowlight.numerics import (
     DEFAULT_TOL,
     BracketError,
@@ -26,7 +26,6 @@ from slowlight.numerics import (
     integrate_1d,
     integrate_cylindrical,
     polylog,
-    riemann_zeta,
     _FD32_FIT,
     _fd_sommerfeld,
     _polylog_negative_axis,
@@ -49,9 +48,10 @@ def mp_polylog(s: float, z: float) -> float:
 
 
 def served(order: float, x: float) -> bool:
-    """The domain rule of fermi_dirac_f: every order in its series region,
-    past it the orders the cloud uses, 3/2 (the density), 2 and 3 (the
-    columns and the mu roots) and 4 (the axial moment)."""
+    """The domain rule of fermi_dirac_f(order, x) and of polylog(order, e^x):
+    every order in the series region, x <= ln(series_cutoff), past it the
+    orders the cloud uses, 3/2 (the density), 2 and 3 (the columns and the
+    mu roots) and 4 (the axial moment)."""
     return x <= math.log(DEFAULT_TOL.series_cutoff) or order in (1.5, 2.0, 3.0, 4.0)
 
 
@@ -89,6 +89,10 @@ class TestPolylog:
         if z < 0.0:
             check_negative_axis(s, z)
             return
+        if not served(s, math.log(z)):
+            with pytest.raises(DomainError, match=f"takes s = 3/2, 2, 3 or 4, got s={s}"):
+                polylog(s, z)
+            return
         assert polylog(s, z) == pytest.approx(mp_polylog(s, z), rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("z", [-40.0, -5.0, -1.5])
@@ -112,9 +116,9 @@ class TestPolylog:
             polylog(1.0, 1.0)
 
     @pytest.mark.parametrize("s,z,message", [
-        (0.5, 0.7, "requires a finite s > 1, got s=0.5"),
-        (math.nan, 0.7, "requires a finite s > 1, got s=nan"),
-        (math.inf, 0.7, "requires a finite s > 1, got s=inf"),
+        (0.5, 0.7, "takes s = 3/2, 2, 3 or 4, got s=0.5"),
+        (math.nan, 0.7, "takes s = 3/2, 2, 3 or 4, got s=nan"),
+        (math.inf, 0.7, "takes s = 3/2, 2, 3 or 4, got s=inf"),
         (math.nan, 0.3, "order of Li_s must be a number, got s=nan"),
     ])
     def test_domain_errors_name_the_order(self, s, z, message):
@@ -151,11 +155,15 @@ class TestPolylog:
     @given(
         s=st.floats(min_value=1.2, max_value=4.0),
         ds=st.floats(min_value=0.05, max_value=2.0),
-        z=st.floats(min_value=0.05, max_value=0.95),
+        z=st.floats(min_value=0.05, max_value=DEFAULT_TOL.series_cutoff),
+        z_near=st.floats(min_value=DEFAULT_TOL.series_cutoff, max_value=1.0, exclude_min=True),
     )
     @settings(max_examples=60, deadline=None)
-    def test_decreasing_in_order(self, s, ds, z):
+    def test_decreasing_in_order(self, s, ds, z, z_near):
+        # any order in the series region; past it, the four orders served
         assert polylog(s + ds, z) < polylog(s, z)
+        li = [polylog(order, z_near) for order in (1.5, 2.0, 3.0, 4.0)]
+        assert li[0] > li[1] > li[2] > li[3], (z_near, li)
 
     def test_exhausted_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(NumericTolerances, "max_iterations", 3)
@@ -570,7 +578,7 @@ class TestFindRoot:
     @pytest.mark.parametrize("reduced", [1.001, 1.2, 2.0, 5.0])
     def test_bose_fugacity_root_matches_brentq(self, reduced):
         # the root mu_bose takes above T_c: Li_3(z) = zeta(3) (T_c/T)^3
-        target = riemann_zeta(3.0) / reduced**3
+        target = ZETA_3 / reduced**3
         f = lambda z: polylog(3.0, z) - target
         expected = brentq(f, 1e-300, 1.0, **self.BRENTQ)
         assert find_root(f, 1e-300, 1.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
@@ -586,7 +594,7 @@ class TestFindRoot:
         assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_fugacity_equation_eighth(self):
-        target = riemann_zeta(3.0) / 8.0
+        target = ZETA_3 / 8.0
         root = find_root(lambda z: polylog(3.0, z) - target, 1e-12, 1.0)
         # oracle: bisection against the direct series
         lo, hi = 1e-12, 1.0
@@ -600,7 +608,7 @@ class TestFindRoot:
         assert f"{root:.4f}" == "0.1474"
 
     def test_boundary_root(self):
-        target = riemann_zeta(3.0)
+        target = ZETA_3
         root = find_root(lambda z: polylog(3.0, z) - target, 1e-12, 1.0)
         assert root == pytest.approx(1.0, abs=1e-9)
 
@@ -626,44 +634,53 @@ class TestFindRoot:
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-13)
 
 
-# the orders the package evaluates zeta at: the polylog orders, zeta(2) and
-# zeta(4) of the reflection polynomials P_n (_fd_integer), the near-one
-# coefficients zeta(s - k), k <= 24; and the even integers up to 24, where
-# zeta is a rational multiple of pi^s
-ZETA_ARGS = sorted(
-    {0.5, 0.75, 1.5, 2.5, 3.0, 4.0}
-    | {2.0 * k for k in range(1, 13)}
-    | {s - k for s in (1.5, 2.5, 3.0, 4.0) for k in range(25)}
-    - {1.0}
-)
+class TestZetaData:
+    """The zeta values that the expansion of Li_s about z = 1 reads, for the
+    orders the cloud uses, are checked-in literals; mpmath rebuilds them."""
 
+    def test_generator_rebuilds_the_checked_in_values(self):
+        with mp.workdps(40):
+            assert [numerics._ZETA_2, numerics._ZETA_3, numerics._ZETA_4] == [
+                float(mp.zeta(n)) for n in (2, 3, 4)]
+            assert numerics._ZETA_HALF == tuple(
+                float(mp.zeta(mp.mpf(1.5) - k)) for k in range(17))
+            # zeta(-m) = -B_{m+1}/(m + 1) with B_1 = +1/2; mpmath's B_1 is -1/2
+            bernoulli = [-mp.bernoulli(m + 1) / (m + 1) for m in range(15)]
+            bernoulli[0] = -bernoulli[0]
+            assert numerics._ZETA_NEGATIVE == tuple(float(b) for b in bernoulli)
+            assert numerics._ZETA_NEGATIVE == tuple(float(mp.zeta(-m)) for m in range(15))
 
-class TestRiemannZeta:
-    @pytest.mark.parametrize("s", ZETA_ARGS)
-    def test_against_mpmath_and_scipy(self, s):
-        exact = float(mp.zeta(s))
-        got = riemann_zeta(s)
-        if exact == 0.0:
-            assert got == 0.0
-        else:
-            assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
-            assert got == pytest.approx(float(scipy_zeta(s)), rel=1e-14, abs=0.0)
+    def test_rows_are_zeta_over_factorial(self):
+        # zeta(s - k)/k!, and H_k/k! at an integer order's pole k = s - 1,
+        # each within an ulp: the literal's rounding, then the division's
+        assert tuple(numerics._NEAR_ONE) == numerics._ORDERS == (1.5, 2.0, 3.0, 4.0)
+        with mp.workdps(40):
+            for s, row in numerics._NEAR_ONE.items():
+                assert len(row) == 17
+                for k, got in enumerate(row):
+                    u = mp.mpf(s) - k
+                    exact = (mp.harmonic(k) if u == 1 else mp.zeta(u)) / mp.factorial(k)
+                    assert abs(got - exact) <= math.ulp(float(exact)), (s, k, got, exact)
 
-    def test_exact_values(self):
-        assert riemann_zeta(0.0) == -0.5
-        assert riemann_zeta(-1.0) == pytest.approx(-1.0 / 12.0, rel=1e-15, abs=0.0)
-        for n in range(1, 13):
-            assert riemann_zeta(-2.0 * n) == 0.0
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 4.0])
+    def test_unit_argument_is_zeta(self, s):
+        with mp.workdps(40):
+            assert polylog(s, 1.0) == float(mp.zeta(s))
 
-    def test_pole(self):
-        with pytest.raises(DomainError):
-            riemann_zeta(1.0)
+    def test_zeta3_is_the_bose_constant(self):
+        # T_c and the Bose fugacity root read gas.ZETA_3; at T = T_c the root
+        # of Li_3(z) = ZETA_3 lands on z = 1 exactly
+        assert polylog(3.0, 1.0) == ZETA_3 == 1.2020569031595942
+        assert find_root(lambda z: polylog(3.0, z) - ZETA_3, 1e-12, 1.0) == 1.0
 
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
-    def test_non_finite_order_is_a_domain_error_naming_it(self, s):
-        # NaN once recursed through the functional equation without end
-        with pytest.raises(DomainError, match=f"got s={s}"):
-            riemann_zeta(s)
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 4.0])
+    def test_near_one_against_mpmath(self, s):
+        # random z in (1/2, 1] and both ends of that range
+        rng = random.Random(int(2 * s))
+        points = [math.nextafter(DEFAULT_TOL.series_cutoff, 1.0), 1.0,
+                  *(rng.uniform(DEFAULT_TOL.series_cutoff, 1.0) for _ in range(300))]
+        for z in points:
+            assert polylog(s, z) == pytest.approx(mp_polylog(s, z), rel=1e-15, abs=0.0), z
 
 
 class TestTolerances:

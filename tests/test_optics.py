@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 from scipy.constants import c as c_light, h, hbar, k as k_B
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.signal import convolve
 from scipy.special import erf
@@ -953,17 +954,25 @@ def preset_reference(name):
 
 def check_rows_against_oracle(config, rows, T, delta_gammas):
     """L, t_d and ln(transmission) of rows of one statistics at temperature T
-    against mp_observables on mp_thermal_cloud, at the detunings given."""
+    against mp_observables on mp_thermal_cloud, at the detunings given.  The
+    float64 oracle of TestFloat64Oracle is held to the same mpmath values at
+    1e-11 here, where mpmath reaches, before that test relies on it."""
     trap, stat = config.trap, rows[0][0]
     with mp.workdps(15):
         rho, L, s_end, R_c = mp_thermal_cloud(stat, config.gas.n_atoms, config.gas.a_sc, trap, T)
         expected = [mp_observables(rho, mp.mpf(trap.epsilon), L, delta_gamma,
                                    config.probe.pinhole_R, s_end, (R_c,))
                     for delta_gamma in delta_gammas]
+    cloud = f64_cloud(stat, config.gas.n_atoms, config.gas.a_sc, trap, T)
+    assert cloud.L == pytest.approx(float(L), rel=1e-11, abs=0.0), (stat, T)
     for (_, x, L_m, t_d, _, trans), (t_d_mp, ln_T) in zip(rows, expected):
         assert L_m == pytest.approx(float(L), rel=1e-9, abs=0.0), (stat, x)
         assert t_d == pytest.approx(float(t_d_mp), rel=1e-9, abs=0.0), (stat, x)
         assert math.log(trans) == pytest.approx(float(ln_T), rel=1e-9, abs=0.0), (stat, x)
+    for delta_gamma, (t_d_mp, ln_T) in zip(delta_gammas, expected):
+        f64 = f64_observables(cloud, trap.epsilon, delta_gamma, config.probe.pinhole_R)
+        assert f64.t_d == pytest.approx(float(t_d_mp), rel=1e-11, abs=0.0), (stat, delta_gamma)
+        assert f64.ln_T == pytest.approx(float(ln_T), rel=1e-11, abs=0.0), (stat, delta_gamma)
 
 
 class TestPresetReferenceOracle:
@@ -1005,6 +1014,174 @@ class TestPresetReferenceOracle:
             for i in indices:
                 check_rows_against_oracle(config, [mine[i]], mine[i][1] * T_c,
                                           [config.probe.delta / config.probe.gamma])
+
+
+# The float64 oracle: numpy and scipy only, none of the program's special
+# functions.  Each Fermi-Dirac or Bose integral is a sum over fixed
+# Gauss-Legendre pieces in u = sqrt(t), at most _F64_PIECE wide, up to
+# u^2 = x + _F64_TAIL, past which the integrand is below e^-45 of its peak.
+_F64_X, _F64_W = np.polynomial.legendre.leggauss(16)
+_F64_PIECE = 0.5
+_F64_TAIL = 45.0
+
+
+def _f64_nodes(edges):
+    """The Gauss-Legendre nodes and weights of the pieces between edges."""
+    edges = np.asarray(edges, dtype=float)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * _F64_X).ravel(), (half[:, None] * _F64_W).ravel()
+
+
+def _f64_span(lo, hi):
+    """Edges from lo to hi, equal pieces at most _F64_PIECE wide."""
+    return np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _F64_PIECE)) + 1)
+
+
+# The Bose pieces halve from u = 1/2 down to 2^-45: the integrand dips to 0
+# over u ~ sqrt(w) at u = 0, and a piece [u, 2u] keeps that pole, u = i
+# sqrt(w), out of its Bernstein ellipse at any w.  The first piece, [0,
+# 2^-45], is below 1e-13 of g_nu.
+_F64_BOSE = _f64_nodes([0.0, *2.0 ** np.arange(-45, 0),
+                        *_f64_span(0.5, math.sqrt(_F64_TAIL))[1:]])
+
+
+def f64_fermi_dirac(nu, x):
+    """f_nu(e^x) = (1/Gamma(nu)) int_0^inf t^(nu-1) / (e^(t-x) + 1) dt in
+    float64, with t = u^2, the pieces split at the Fermi edge u = sqrt(x)."""
+    top = math.sqrt(max(x, 0.0) + _F64_TAIL)
+    edges = _f64_span(0.0, top) if x <= 0.0 else np.concatenate(
+        [_f64_span(0.0, math.sqrt(x)), _f64_span(math.sqrt(x), top)[1:]])
+    u, weight = _f64_nodes(edges)
+    return 2.0 / math.gamma(nu) * np.dot(weight, u ** (2.0 * nu - 1.0) / (np.exp(u * u - x) + 1.0))
+
+
+def f64_bose(nu, w):
+    """g_nu(e^-w) = (1/Gamma(nu)) int_0^inf t^(nu-1) / (e^(t+w) - 1) dt in
+    float64 for w >= 0, with t = u^2, which leaves the integrand finite at
+    w = 0, where it is zeta(nu)."""
+    u, weight = _F64_BOSE
+    return 2.0 / math.gamma(nu) * np.dot(weight, u ** (2.0 * nu - 1.0) / np.expm1(u * u + w))
+
+
+F64Cloud = namedtuple("F64Cloud", "rho L s_end R_c error")
+
+
+def f64_cloud(stat, n_atoms, a_sc, trap, T):
+    """The sodium cloud of mp_thermal_cloud in float64: rho(s), L, s_end, R_c
+    and the relative error estimate of L's quadrature.  zeta(2) and zeta(3)
+    are g_2(1) and g_3(1) of f64_bose; mu (Fermi) and the fugacity (Bose
+    above T_c) are brentq roots of N = (k_B T / hbar wbar)^3 f_3, on
+    brackets that the bounds x^3/6 < f_3(e^x) (x > 0), f_3(e^x) < e^x and
+    g_3(e^-w) < e^-w zeta(3) make sure of.  rho is memoized, so the
+    observables of one cloud at many detunings share its values."""
+    eps, omega_r, kT = trap.epsilon, trap.omega_r, k_B * T
+    wbar = eps ** (1.0 / 3.0) * omega_r
+    zeta_2, zeta_3 = f64_bose(2.0, 0.0), f64_bose(3.0, 0.0)
+    t = kT / (hbar * wbar * (n_atoms / zeta_3) ** (1.0 / 3.0))  # T / T_c
+    a = MASS_NA * omega_r**2 / (2.0 * kT)
+    lam3 = (h / math.sqrt(2.0 * math.pi * MASS_NA * kT)) ** 3
+    target = n_atoms * (hbar * wbar / kT) ** 3
+    x_top = w_top = R_c = amp = 0.0
+    kappa = 1.0
+    if stat is Statistics.FERMI:
+        x_top = brentq(lambda x: f64_fermi_dirac(3.0, x) - target, math.log(target) - 1.0,
+                       (6.0 * target) ** (1.0 / 3.0) + 1.0, xtol=1e-300, rtol=_BRENTQ_RTOL)
+
+        def ladder(v):
+            return f64_fermi_dirac(1.5, x_top - v)
+    elif stat is Statistics.BOLTZMANN:
+        def ladder(v):
+            return target * math.exp(-v)
+    else:
+        if t > 1.0:
+            w_top = brentq(lambda w: f64_bose(3.0, w) - target, 0.0,
+                           math.log(zeta_3 / target) + 1.0, xtol=1e-300, rtol=_BRENTQ_RTOL)
+        else:  # as in mp_thermal_cloud
+            a_ho = math.sqrt(hbar / (MASS_NA * wbar))
+            eta = zeta_3 ** (1.0 / 3.0) / 2.0 * (15.0 * n_atoms ** (1.0 / 6.0) * a_sc / a_ho) ** 0.4
+            frac = max(1.0 - t**3 - eta * zeta_2 / zeta_3 * t**2 * (1.0 - t**3) ** 0.4, 0.0)
+            kappa = (1.0 - frac) / t**3
+            R_c = math.sqrt(2.0 * eta * kT / t * frac**0.4 / (MASS_NA * omega_r**2))
+            amp = MASS_NA**2 * omega_r**2 / (8.0 * math.pi * hbar**2 * a_sc)
+
+        def ladder(v):
+            return kappa * f64_bose(1.5, v + w_top)
+
+    memo = {}
+
+    def rho(s):
+        n = memo.get(s)
+        if n is None:
+            n = memo[s] = ladder(a * s * s) / lam3 + (amp * (R_c**2 - s * s) if s < R_c else 0.0)
+        return n
+
+    s_end = math.sqrt((60.0 + max(x_top, 0.0)) / a)
+    moment, error = quad(lambda s: s**4 * rho(s), 0.0, s_end, points=[R_c] if R_c else None,
+                         epsabs=0.0, epsrel=1e-13, limit=200)
+    L = math.sqrt(4.0 * math.pi / (3.0 * eps**3 * n_atoms) * moment)
+    return F64Cloud(rho, L, s_end, R_c, error / moment)
+
+
+def f64_pinhole_mean(F, cloud, eps, R, W):
+    """mp_pinhole_mean in float64 with scipy's quad: the sphere caps that the
+    shells of the scaled radius keep inside r < R, |eps z| < W, cut at the
+    cap's kinks and the condensate edge.  Returns (mean, relative error)."""
+    def shell(s):
+        cap = min(s, W) - math.sqrt(max(s * s - R * R, 0.0))
+        return s * cap * F(cloud.rho(s)) if cap > 0.0 else 0.0
+
+    kinks = sorted({e for e in (W, R, math.hypot(R, W), cloud.R_c) if 0.0 < e < cloud.s_end})
+    value, error = quad(shell, 0.0, cloud.s_end, points=kinks or None, epsabs=0.0,
+                        epsrel=1e-13, limit=200)
+    return 4.0 / (eps * R * R) * value, error / abs(value)
+
+
+F64Observables = namedtuple("F64Observables", "t_d ln_T error")
+
+
+def f64_observables(cloud, eps, delta_gamma, pinhole):
+    """mp_observables in float64: t_d and ln(transmission) of the cloud with
+    the local field on, and the larger relative error estimate of the two."""
+    alpha, g, K = sodium_probe_constants(delta_gamma)
+    b = 4.0 * math.pi / 3.0 * alpha
+    t_d, t_error = f64_pinhole_mean(lambda n: K * n / (1.0 - b * n) ** 2, cloud, eps, pinhole,
+                                    math.inf)
+    absorbed, a_error = f64_pinhole_mean(lambda n: alpha * n * g / ((1.0 - b * n) ** 2 + g * g),
+                                         cloud, eps, pinhole, eps * cloud.L / 2.0)
+    return F64Observables(t_d, -2.0 * OMEGA_0 / c_light * absorbed, max(t_error, a_error))
+
+
+class TestFloat64Oracle:
+    """Every Bose and Fermi row of tests/reference/fig1.csv and fig2.csv
+    against the float64 oracle at 1e-9, with the oracle's own error estimate
+    well inside that.  fig1's condensed Bose rows and its Fermi rows with
+    z > 0.95 have no other check but this and, for a few, mpmath
+    (check_rows_against_oracle, which also holds this oracle to mpmath)."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_preset_rows(self, name):
+        config, rows = preset_reference(name)
+        T_c, probe = config.scales.T_c, config.probe
+        clouds = {}
+        checked = 0
+        for stat, x, L, t_d, _, trans in rows:
+            if stat is Statistics.BOLTZMANN:
+                continue  # TestBoltzmannClosedForm checks every one
+            if name == "fig1":  # x is T / T_c
+                T, delta_gamma = x * T_c, probe.delta / probe.gamma
+            else:  # x is the detuning in gamma
+                T, delta_gamma = config.sweep.temperature * T_c, x
+            cloud = clouds.get((stat, T))
+            if cloud is None:
+                cloud = clouds[stat, T] = f64_cloud(stat, config.gas.n_atoms, config.gas.a_sc,
+                                                    config.trap, T)
+            expected = f64_observables(cloud, config.trap.epsilon, delta_gamma, probe.pinhole_R)
+            assert max(cloud.error, expected.error) < 1e-11, (stat, x, cloud, expected)
+            assert L == pytest.approx(cloud.L, rel=1e-9, abs=0.0), (stat, x)
+            assert t_d == pytest.approx(expected.t_d, rel=1e-9, abs=0.0), (stat, x)
+            assert math.log(trans) == pytest.approx(expected.ln_T, rel=1e-9, abs=0.0), (stat, x)
+            checked += 1
+        assert checked == 2 * config.sweep.points
 
 
 # The closed-form oracle keeps the terms of the density's Gaussian sum while
