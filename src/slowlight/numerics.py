@@ -28,9 +28,11 @@ agreement windows.
 The expansion about z = 1 reads checked-in, correctly rounded values of
 Riemann zeta for the four orders it serves; no zeta function is computed.
 Quadrature is an adaptive 21-point Gauss-Kronrod rule with QUADPACK's error
-estimate (Piessens et al. 1983) and roots come from Brent's bracketing
-method (Brent 1973), both in plain Python; scipy serves only as the tests'
-oracle.
+estimate (Piessens et al. 1983): integrate_1d and integrate_cylindrical take
+the relative tolerance rel_tol as a number, accept a result when the summed
+error estimate is at most max(rel_tol |I|, smallest normal float), and raise
+NonConvergenceError otherwise.  Roots come from Brent's bracketing method
+(Brent 1973).  Both are plain Python; scipy serves only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -63,13 +65,13 @@ def require_finite(obj: object, *fields: str) -> None:
 
 
 class NumericTolerances(namedtuple("NumericTolerances", "rel_tol_quadrature")):
-    """The quadrature tolerance of integrate_1d, integrate_cylindrical and
-    the optics observables built on them, the only routines whose result
-    depends on it.
+    """The quadrature tolerance of the optics observables, which hand
+    rel_tol_quadrature to their quadratures as a number; integrate_1d and
+    integrate_cylindrical default to DEFAULT_TOL's.
 
     The root tolerance, the series cutoff and the iteration budget are
-    constants of the class: every run uses the same values.  find_root, the
-    quadrature loop and the private special-function helpers read them from
+    constants of the class: every run uses the same values.  find_root,
+    integrate_1d and the private special-function helpers read them from
     the class.  polylog and fermi_dirac_f still take a record and read the
     series cutoff through it, and make_profile keeps one in its cache key,
     because the benchmark's tracer and layer timings call them with one."""
@@ -373,32 +375,37 @@ def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return val, err
 
 
-# A result that misses the tolerance when the panel budget runs out (typically
-# round-off in the integrand) is kept while its error estimate stays within
-# this factor of the requested tolerance, or below the smallest normal float
-# where the integrand has underflowed; the final integrals then still meet
-# their tolerance (checked against the closed-form moments in the tests).
-_FLAGGED_SLACK = 10.0
-
-
-def _quad(
+def integrate_1d(
     f: Callable[[float], float],
     a: float,
     b: float,
-    rel_tol: float,
-    points: Sequence[float] | None,
-) -> tuple[float, float]:
-    # Globally adaptive: the breakpoints cut the first panels, then the panel
-    # with the largest error estimate is bisected until the summed estimate
-    # meets the tolerance or the budget of panels is spent.
+    rel_tol: float = DEFAULT_TOL.rel_tol_quadrature,
+    points: Sequence[float] | None = None,
+) -> float:
+    """Adaptive integral of f over [a, b] to the relative tolerance rel_tol.
+
+    Globally adaptive: the breakpoints in points cut the first panels, then
+    the panel with the largest error estimate is bisected.  One rule accepts
+    a result, as QUADPACK's does with epsabs the smallest normal float: the
+    summed error estimate is at most max(rel_tol |I|, smallest normal float),
+    so an integrand that has underflowed is done at its first panels.
+
+    Raises DomainError unless a < b and rel_tol is a positive finite number,
+    before f is called, and NonConvergenceError, naming the interval or
+    panel, when the panel budget (NumericTolerances.max_iterations) or the
+    bisection runs out first, or a panel's integral or error estimate is NaN
+    or infinite."""
+    if not a < b:
+        raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be a positive finite number, got rel_tol={rel_tol}")
     edges = [a, *sorted({p for p in points or () if a < p < b}), b]
     panels = [[lo, hi, *_qk21(f, lo, hi)] for lo, hi in zip(edges, edges[1:])]
     limit = NumericTolerances.max_iterations
     while True:
         val = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
-        if err <= rel_tol * abs(val):
-            return val, err
+        if math.fsum(p[3] for p in panels) <= max(rel_tol * abs(val), _TINY):
+            return val
         if len(panels) >= limit:
             message = f"The maximum number of subdivisions ({limit}) has been achieved."
             break
@@ -410,34 +417,14 @@ def _quad(
             break
         worst[1:] = [mid, *_qk21(f, lo, mid)]
         panels.append([mid, hi, *_qk21(f, mid, hi)])
-    bound = max(_FLAGGED_SLACK * rel_tol * abs(val), _TINY)
-    if err > bound:
-        raise NonConvergenceError(f"quadrature failed on [{a}, {b}]: {message}")
-    return val, err
-
-
-def integrate_1d(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: NumericTolerances = DEFAULT_TOL,
-    points: Sequence[float] | None = None,
-) -> float:
-    """Adaptive integral of f over [a, b] to rel_tol_quadrature.
-
-    Raises DomainError unless a < b, and NonConvergenceError, naming the
-    interval or panel, when the tolerance is out of reach or a panel's
-    integral or error estimate is NaN or infinite."""
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    return _quad(f, a, b, tol.rel_tol_quadrature, points)[0]
+    raise NonConvergenceError(f"quadrature failed on [{a}, {b}]: {message}")
 
 
 def integrate_cylindrical(
     f: Callable[[float, float], float],
     r_max: float,
     z_max: float,
-    tol: NumericTolerances = DEFAULT_TOL,
+    rel_tol: float = DEFAULT_TOL.rel_tol_quadrature,
     z_breakpoints: Callable[[float], Sequence[float]] | None = None,
     r_breakpoints: Sequence[float] = (),
 ) -> float:
@@ -446,9 +433,10 @@ def integrate_cylindrical(
     Azimuthal symmetry and mirror symmetry f(r, -z) = f(r, z) are assumed
     (true of every density in a harmonic trap), so the inner integral runs
     over [0, z_max] and is doubled; a kink on the plane z = 0, such as the
-    on-axis cusp of a saturated Bose cloud, then sits at a panel edge.  The
-    inner integral runs a factor tighter than the outer so the nesting does
-    not eat the requested tolerance.  z_breakpoints(r) may flag the positive
+    on-axis cusp of a saturated Bose cloud, then sits at a panel edge.  Both
+    loops are integrate_1d and accept or raise by its rule: the outer runs to
+    rel_tol, each inner column to rel_tol / 4 so the nesting does not eat the
+    requested tolerance.  z_breakpoints(r) may flag the positive
     axial kinks of the integrand (e.g. a condensate surface), r_breakpoints
     the radii where the column integral kinks (the condensate edge); points
     outside (0, r_max) and (0, z_max) are ignored.
@@ -462,10 +450,9 @@ def integrate_cylindrical(
 
     def column(r: float) -> float:
         pts = z_breakpoints(r) if z_breakpoints is not None else None
-        val, _ = _quad(lambda z: f(r, z), 0.0, z_max, tol.rel_tol_quadrature / 4.0, pts)
-        return 4.0 * math.pi * r * val
+        return 4.0 * math.pi * r * integrate_1d(lambda z: f(r, z), 0.0, z_max, rel_tol / 4.0, pts)
 
-    return _quad(column, 0.0, r_max, tol.rel_tol_quadrature, r_breakpoints)[0]
+    return integrate_1d(column, 0.0, r_max, rel_tol, r_breakpoints)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:

@@ -201,7 +201,7 @@ def effective_length(
 
 
 def _pinhole_integral(
-    F: Callable[[float], float], prof, R: float, W: float, tol: NumericTolerances
+    F: Callable[[float], float], prof, R: float, W: float, rel_tol: float
 ) -> float:
     """int F(rho) dV over the cylinder r < R and the window |eps z| < W.
 
@@ -216,10 +216,11 @@ def _pinhole_integral(
     The shells outside the cylinder, s > R, are reached through
     s = sqrt(R^2 + t^2), which removes the square-root kink of the
     sphere-cylinder overlap at s = R.  Both pieces run as one quadrature,
-    u = s on [0, R] and u = R + t beyond, so the tolerance holds for the
-    whole integral: the far shells, where F(rho) is tiny and may round to a
-    staircase, need not meet it on their own.  The window edge W and the
-    condensate edge tf_radius are breakpoints of whichever piece they fall in.
+    u = s on [0, R] and u = R + t beyond, so the relative tolerance rel_tol
+    holds for the whole integral: the far shells, where F(rho) is tiny and
+    may round to a staircase, need not meet it on their own.  The window edge
+    W and the condensate edge tf_radius are breakpoints of whichever piece
+    they fall in.
     rho(s) comes from the profile's memo (at_radius), so the nodes that
     repeat at every point of a detuning sweep are evaluated once.
 
@@ -246,7 +247,7 @@ def _pinhole_integral(
     while t < W / 64.0:
         points.append(R + t)
         t += t
-    return 4.0 * math.pi / prof.trap.epsilon * integrate_1d(shell, 0.0, R + W, tol, points)
+    return 4.0 * math.pi / prof.trap.epsilon * integrate_1d(shell, 0.0, R + W, rel_tol, points)
 
 
 def _delay_of_profile(
@@ -275,9 +276,8 @@ def _delay_of_profile(
         # |x_peak (2 - x_peak)| at both signs of x_peak, so the sum meets
         # rel_tol_quadrature; the cap at 1 keeps a tiny x_peak's tolerance finite
         share = abs(x_peak * (2.0 - x_peak))
-        rem_tol = NumericTolerances(min(tol.rel_tol_quadrature / share, 1.0))
         W = prof.trap.epsilon * prof.z_cut  # the window covers the cloud
-        t_d += _pinhole_integral(remainder, prof, R, W, rem_tol)
+        t_d += _pinhole_integral(remainder, prof, R, W, min(tol.rel_tol_quadrature / share, 1.0))
     return t_d / (math.pi * R * R)
 
 
@@ -311,7 +311,7 @@ def _transmission_of_profile(
     R = probe.pinhole_R
     _, _, chi = _response(probe)
     W = prof.trap.epsilon * min(0.5 * L, prof.z_cut)
-    integral = _pinhole_integral(lambda rho: chi(rho)[1], prof, R, W, tol)
+    integral = _pinhole_integral(lambda rho: chi(rho)[1], prof, R, W, tol.rel_tol_quadrature)
     alpha_T = -2.0 * probe.omega_0 / c_light * integral / (math.pi * R * R)
     return math.exp(alpha_T)
 

@@ -276,7 +276,7 @@ class TestParseConfig:
         for text, value in (("7.5 um", 7.5e-6), ("7.5um", 7.5e-6), ("2.75 nm", 2.75e-9),
                             ("0.01 mm", 1e-5), ("1.2e-5", 1.2e-5)):
             cfg = parse_config(TINY_SWEEP.replace("5 um", text))
-            assert cfg.probe.pinhole_R == pytest.approx(value)
+            assert cfg.probe.pinhole_R == pytest.approx(value, rel=1e-6, abs=0.0)
 
     # the number is the shortest head that leaves blanks and at most a unit
     @pytest.mark.parametrize("text,metres", [

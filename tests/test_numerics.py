@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 import warnings
 from functools import lru_cache
 
@@ -449,6 +450,43 @@ class TestIntegrate1d:
         with pytest.raises(NonConvergenceError, match=message):
             integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
 
+    def test_result_within_ten_times_its_tolerance_raises(self, monkeypatch):
+        # one panel of e^x, the whole budget: its estimate, 50 machine epsilons
+        # of the integral, is 5.6 times rel_tol |I|, and a result within 10
+        # times its tolerance was once kept when the panel budget ran out
+        monkeypatch.setattr(NumericTolerances, "max_iterations", 1)
+        rel_tol = 2e-15
+        value, error = numerics._qk21(math.exp, 0.0, 1.0)
+        assert rel_tol * value < error < 10.0 * rel_tol * value
+        message = r"\[0\.0, 1\.0\]: The maximum number of subdivisions \(1\)"
+        with pytest.raises(NonConvergenceError, match=message):
+            integrate_1d(math.exp, 0.0, 1.0, rel_tol)
+
+    @pytest.mark.parametrize("points,panels", [(None, 1), ((0.5,), 2)],
+                             ids=["one-panel", "breakpoint"])
+    def test_underflowed_integrand_returns_after_its_first_panels(self, points, panels):
+        # subnormal values: the estimate is below the smallest normal float at
+        # once, but never below rel_tol |I|, so the loop once spent its whole
+        # panel budget, 16,779 calls, before keeping the result
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1e-312 * (2.0 + math.cos(1e5 * x))
+
+        got = integrate_1d(f, 0.0, 1.0, points=points)
+        assert len(calls) <= 21 * panels
+        exact = 1e-312 * (2.0 + math.sin(1e5) / 1e5)
+        assert abs(got - exact) <= sys.float_info.min
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+        def f(x):
+            raise AssertionError("integrand called before rel_tol was checked")
+
+        with pytest.raises(DomainError, match=r"\brel_tol must be a positive finite number"):
+            integrate_1d(f, 0.0, 1.0, rel_tol)
+
     def test_panel_that_cannot_be_bisected_names_interval(self):
         # a step inside one ulp: the panel [1, 1 + ulp] has no midpoint
         b = math.nextafter(1.0, 2.0)
@@ -485,11 +523,9 @@ class TestIntegrate1d:
         assert integrate_1d(f, a, b, points=points) == pytest.approx(expected, rel=1e-8)
 
     def test_tolerance_refinement(self):
-        loose = NumericTolerances(rel_tol_quadrature=1e-6)
-        tight = NumericTolerances(rel_tol_quadrature=5e-7)
         f = lambda x: math.exp(-x * x) * math.cos(7.0 * x)
-        a = integrate_1d(f, 0.0, 4.0, loose)
-        b = integrate_1d(f, 0.0, 4.0, tight)
+        a = integrate_1d(f, 0.0, 4.0, 1e-6)
+        b = integrate_1d(f, 0.0, 4.0, 5e-7)
         assert abs(a - b) <= 1e-6 * abs(a) + 1e-15
 
 
@@ -516,7 +552,7 @@ class TestIntegrateCylindrical:
             return math.nan
 
         with pytest.raises(NonConvergenceError, match=r"quadrature failed on \[0\.0, 1\.0\]"):
-            integrate_cylindrical(f, 1.0, 1.0, NumericTolerances(1e-3))
+            integrate_cylindrical(f, 1.0, 1.0, 1e-3)
         assert calls[0] <= 21  # one panel
 
     def test_gaussian_factorizes(self):
@@ -557,10 +593,8 @@ class TestIntegrateCylindrical:
 
     def test_halving_tolerance_stays_within_previous_estimate(self):
         f = lambda r, z: math.exp(-r * r - z * z) * (1.0 + 0.5 * math.cos(3.0 * z))
-        loose = NumericTolerances(rel_tol_quadrature=1e-6)
-        tight = NumericTolerances(rel_tol_quadrature=5e-7)
-        a = integrate_cylindrical(f, 6.0, 6.0, loose)
-        b = integrate_cylindrical(f, 6.0, 6.0, tight)
+        a = integrate_cylindrical(f, 6.0, 6.0, 1e-6)
+        b = integrate_cylindrical(f, 6.0, 6.0, 5e-7)
         assert abs(a - b) <= 1e-6 * abs(a)
 
 
