@@ -286,16 +286,15 @@ def parse_config(text: str) -> RunConfig:
     omega_r = 2.0 * math.pi * v["trap.frequency_hz"]
     omega_0 = 2.0 * math.pi * C_LIGHT / v["probe.wavelength"]
     gamma = 2.0 * math.pi * v["probe.linewidth_hz"]
-    delta = v["probe.detuning_gamma"] * gamma
     # a finite value may overflow in SI units, and a detuning underflow; past
     # this check no constructor below can refuse a value.  A detuning sweep's
-    # grid is monotone, so its endpoints bound the detuning of every point.
+    # monotone grid sets every point's detuning, from sweep.start to sweep.stop.
+    detunings = ("sweep.start", "sweep.stop") if axis == "detuning" else ("probe.detuning_gamma",)
+    delta = v[detunings[0]] * gamma
     si_values = [("trap.frequency_hz", "omega_r", omega_r),
                  ("probe.wavelength", "omega_0", omega_0),
                  ("probe.linewidth_hz", "gamma", gamma),
-                 ("probe.detuning_gamma", "delta", delta)]
-    if axis == "detuning":
-        si_values += [("sweep.start", "delta", start * gamma), ("sweep.stop", "delta", stop * gamma)]
+                 *((key, "delta", v[key] * gamma) for key in detunings)]
     for key, name, si in si_values:
         if not (math.isfinite(si) and si):
             raise invalid(key, f"must be finite and nonzero in SI units, got {name} = {si}")

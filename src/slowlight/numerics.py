@@ -460,19 +460,18 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 
     Brent's method (Brent 1973) step for step as scipy's brentq takes it:
     inverse quadratic or secant steps while they shrink the bracket fast
-    enough, bisection otherwise, to NumericTolerances.rel_tol_root.
+    enough, bisection otherwise, to NumericTolerances.rel_tol_root.  A NaN
+    of f raises BracketError at an end and NonConvergenceError past it.
     """
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    if not (flo <= 0.0 <= fhi or fhi <= 0.0 <= flo):  # a NaN at either end too
         raise BracketError(
             f"f({lo})={flo} and f({hi})={fhi} do not bracket a root"
         )
+    if flo == 0.0:  # f(hi) = 0 returns hi on the loop's first pass
+        return lo
     x_pre, x_cur, f_pre, f_cur = lo, hi, flo, fhi
     x_blk = f_blk = s_pre = s_cur = 0.0
     for _ in range(NumericTolerances.max_iterations):
@@ -503,6 +502,8 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
         f_cur = f(x_cur)
+        if math.isnan(f_cur):
+            raise NonConvergenceError(f"f({x_cur}) is NaN inside [{lo}, {hi}]")
     raise NonConvergenceError(
         f"no root found on [{lo}, {hi}] in {NumericTolerances.max_iterations} iterations"
     )

@@ -225,9 +225,9 @@ def _pinhole_integral(
     repeat at every point of a detuning sweep are evaluated once.
 
     The overlap s - t is taken as R^2 / (s + t), which does not cancel where
-    t >> R.  The weight t R^2 / (s + t) turns from t R to R^2 / 2 over t ~ R,
-    a feature of width R at one end of a piece of width W, so a pinhole much
-    narrower than the window adds breakpoints at t = R 2^k below W / 64.
+    t >> R.  Breakpoints at t = W / 2^k while that exceeds 4 R serve both ends
+    of the piece: the weight t R^2 / (s + t) turns from t R to R^2 / 2 over
+    t ~ R, and the cloud ends long before a wide window's W.
     Checked against the 2-D quadrature for R / W from 3.5e-2 down to 3.5e-8.
     """
 
@@ -243,10 +243,10 @@ def _pinhole_integral(
     edges = (W, prof.tf_radius)
     points = [R, *(e for e in edges if e < R),
               *(R + math.sqrt(e * e - R * R) for e in edges if e > R)]
-    t = R
-    while t < W / 64.0:
+    t = 0.5 * W
+    while t > 4.0 * R:
         points.append(R + t)
-        t += t
+        t *= 0.5
     return 4.0 * math.pi / prof.trap.epsilon * integrate_1d(shell, 0.0, R + W, rel_tol, points)
 
 

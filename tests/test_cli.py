@@ -332,15 +332,29 @@ class TestRunSweep:
 
     def test_sweep_point_rebuilds_probe_through_its_checks(self):
         # each detuning point builds its ProbeParams through the constructor,
-        # so the near-resonance warning and the zero-detuning refusal apply
+        # so the near-resonance warning and the zero-detuning refusal apply;
+        # the run's probe is built at sweep.start = 0.8 gamma, which warns too
         text = TINY_SWEEP.replace("sweep.axis            = temperature",
                                   "sweep.axis            = detuning")
-        cfg = parse_config(text + "sweep.temperature = 1.0\n")
+        with pytest.warns(UserWarning, match=r"detuning below 3\*gamma"):
+            cfg = parse_config(text + "sweep.temperature = 1.0\n")
         with pytest.warns(UserWarning, match=r"detuning below 3\*gamma"):
             row = cli._sweep_point(cfg, Statistics.BOLTZMANN, 2.0)
         assert row.x == 2.0
         with pytest.raises(ZeroDetuningError):
             cli._sweep_point(cfg, Statistics.BOLTZMANN, 0.0)
+
+    def test_a_detuning_sweep_does_not_read_probe_detuning(self, tmp_path):
+        # every point sets its own detuning, from sweep.start = 3 gamma up, so
+        # probe.detuning_gamma = 1 neither warns nor changes a byte of the CSV
+        text = re.sub(r"sweep\.points\s*=\s*\d+", "sweep.points = 4", preset_text("fig2"))
+        for gamma in ("1", "10"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cfg = parse_config(re.sub(r"(probe\.detuning_gamma\s*=)\s*10", rf"\1 {gamma}", text))
+                assert cfg.probe.delta == 3.0 * cfg.probe.gamma
+                write_csv(run_sweep(cfg), tmp_path / f"{gamma}.csv")
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "10.csv").read_bytes()
 
     @staticmethod
     def fig2_physics(points):

@@ -627,6 +627,23 @@ class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
 
+    def test_nan_at_an_end_is_refused(self):
+        # f(lo) = NaN passed both bracket checks, and lo came back as the root
+        f = lambda x: math.nan if x == 0.0 else x - 0.3
+        with pytest.raises(BracketError, match=r"^f\(0\.0\)=nan and f\(1\.0\)=0\.7 do not bracket"):
+            find_root(f, 0.0, 1.0)
+
+    def test_ends_of_one_sign_are_refused_when_their_product_underflows(self):
+        # f(lo) f(hi) = 2e-400 rounded to 0.0, which passed as a bracket: 0.0 came back
+        with pytest.raises(BracketError, match="do not bracket a root"):
+            find_root(lambda x: 1e-200 * (1.0 + x), 0.0, 1.0)
+
+    def test_nan_inside_the_bracket_is_refused(self):
+        # a NaN step compared false everywhere: 0.2500000000000454 came back
+        f = lambda x: math.nan if 0.25 < x < 0.35 else x - 0.3
+        with pytest.raises(NonConvergenceError, match=r"is NaN inside \[0\.0, 1\.0\]"):
+            find_root(f, 0.0, 1.0)
+
     def test_fugacity_equation_eighth(self):
         target = ZETA_3 / 8.0
         root = find_root(lambda z: polylog(3.0, z) - target, 1e-12, 1.0)

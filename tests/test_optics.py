@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from scipy.signal import convolve
 from scipy.special import erf
 
-from slowlight import optics
+from slowlight import numerics, optics
 from slowlight.cli import parse_config, preset_text
 from slowlight.gas import (
     GasSpec, Statistics, TrapGeometry, UnsupportedStatisticsError, char_scales, density,
@@ -554,6 +554,19 @@ class TestShellIntegral:
             z_breakpoints=prof.z_breakpoints, r_breakpoints=(prof.tf_radius,),
         ) / (math.pi * R * R)
         assert got == pytest.approx(oracle, rel=1e-8, abs=0.0)
+
+    def test_remainder_panels_fit_the_cloud(self, monkeypatch):
+        # fig1's first Fermi row, 0.1 T_c with the preset probe: the window W is
+        # 53 pinhole radii and the density ends within about 7, so the far end
+        # is cut in halves at t = W / 2^k, where bisection took 11 panels
+        config = parse_config(preset_text("fig1"))
+        spec = config.gas._replace(statistics=Statistics.FERMI)
+        prof = make_profile(spec, config.trap, 0.1 * config.temperature_unit)
+        panels = []
+        qk21 = numerics._qk21
+        monkeypatch.setattr(numerics, "_qk21", lambda f, a, b: panels.append(a) or qk21(f, a, b))
+        _delay_of_profile(prof, config.probe, DEFAULT_TOL)
+        assert 0 < len(panels) <= 8
 
     @pytest.mark.parametrize("stat,reduced", [
         (Statistics.FERMI, 0.0), (Statistics.FERMI, 0.3), (Statistics.BOSE, 0.0),
