@@ -246,8 +246,6 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"polylog takes 0 <= z <= 1, got z={z}; "
                           "for z < 0, Li_s(z) is -fermi_dirac_f(s, ln(-z))")
-    if z == 0.0:
-        return 0.0
     if z <= tol.series_cutoff:
         # the series divides by j^s: a NaN order would spend its term budget,
         # and -inf divides by j^-inf = 0 (+inf gives the limit Li_inf(z) = z)
@@ -261,17 +259,15 @@ def polylog(s: float, z: float, tol: NumericTolerances = DEFAULT_TOL) -> float:
 
 
 def _fd_integer(n: int, x: float) -> float:
-    # f_n(e^x) for n = 2, 3 or 4; for x > 0 the exact reflection
-    # f_n(e^x) = P_n(x) + (-1)^(n-1) f_n(e^-x), P_n in zeta(2) and zeta(4)
+    # f_n(e^x) for n = 2, 3 or 4 past the series region; for x > 0 the exact
+    # reflection f_n(e^x) = P_n(x) + (-1)^(n-1) f_n(e^-x), P_n in zeta(2) and zeta(4)
     if x > 0.0:
         if n == 2:
-            return x**2 / 2 + _ZETA_2 - _fd_integer(2, -x)
+            return x**2 / 2 + _ZETA_2 - fermi_dirac_f(2, -x)
         if n == 3:
-            return x**3 / 6 + _ZETA_2 * x + _fd_integer(3, -x)
-        return x**4 / 24 + 0.5 * _ZETA_2 * x**2 + 1.75 * _ZETA_4 - _fd_integer(4, -x)
+            return x**3 / 6 + _ZETA_2 * x + fermi_dirac_f(3, -x)
+        return x**4 / 24 + 0.5 * _ZETA_2 * x**2 + 1.75 * _ZETA_4 - fermi_dirac_f(4, -x)
     y = math.exp(x)
-    if y <= NumericTolerances.series_cutoff:
-        return -_polylog_series(n, -y)
     # the square formula Li_n(-y) + Li_n(y) = 2^{1-n} Li_n(y^2), solved for f_n(y) = -Li_n(-y)
     return polylog(n, y) - 2 ** (1 - n) * polylog(n, y * y)
 

@@ -168,26 +168,21 @@ def group_velocity_local(rho: float, probe: ProbeParams) -> float:
 
 
 def group_velocity_from_dispersion(rho: float, probe: ProbeParams) -> float:
-    """Cross-check path: v_g from c / (1 + 2 pi chi' + 2 pi omega_0 dchi'/domega)
-    with the frequency derivative taken at omega_0 + Delta by a central
-    difference of step 1e-5 |Delta|.
+    """Cross-check path: v_g = c / (1 + 2 pi chi' - 2 pi omega_0 dchi'/dDelta),
+    the derivative a one-sided second-order difference of step h = 1e-5 Delta
+    away from resonance: no probe it builds is nearer resonance than this one.
 
-    The derivative term enters with the sign that reproduces the closed
-    form above (the dispersive slope of the off-resonant response is
-    normal); agreement is ~0.3% at Delta = 10 gamma, the residual being
-    the static 2 pi chi' term and the gamma^2/4Delta^2 linewidth factor.
+    With the local field off chi' is linear in rho, and with g = gamma / 2 Delta
+    the route keeps (c/v_g - 1) / (c/v_local - 1) = (1 - g^2) / (1 + g^2)^2
+    + (Delta / omega_0) / (1 + g^2) against group_velocity_local: where the
+    slowness dominates, its v_g is 0.75% above the closed form at Delta = 10
+    gamma and 8.65% above it at 3 gamma.
     """
-
-    def chi_re_at(omega: float) -> float:
-        shifted = probe._replace(delta=omega - probe.omega_0)
-        return susceptibility(rho, shifted).chi_re
-
-    omega = probe.omega_0 + probe.delta
-    h = 1e-5 * abs(probe.delta)
-    dchi = (chi_re_at(omega + h) - chi_re_at(omega - h)) / (2.0 * h)
-    return c_light / (
-        1.0 + 2.0 * math.pi * chi_re_at(omega) - 2.0 * math.pi * probe.omega_0 * dchi
-    )
+    h = 1e-5 * probe.delta
+    chi_0, chi_1, chi_2 = (susceptibility(rho, p).chi_re for p in (
+        probe, probe._replace(delta=probe.delta + h), probe._replace(delta=probe.delta + 2.0 * h)))
+    dchi = (4.0 * chi_1 - 3.0 * chi_0 - chi_2) / (2.0 * h)
+    return c_light / (1.0 + 2.0 * math.pi * chi_0 - 2.0 * math.pi * probe.omega_0 * dchi)
 
 
 def effective_length(

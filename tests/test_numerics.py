@@ -121,6 +121,8 @@ class TestPolylog:
         (math.nan, 0.7, "takes s = 3/2, 2, 3 or 4, got s=nan"),
         (math.inf, 0.7, "takes s = 3/2, 2, 3 or 4, got s=inf"),
         (math.nan, 0.3, "order of Li_s must be a number, got s=nan"),
+        (math.nan, 0.0, "order of Li_s must be a number, got s=nan"),
+        (-math.inf, 0.0, "order of Li_s must be a number, got s=-inf"),
     ])
     def test_domain_errors_name_the_order(self, s, z, message):
         with pytest.raises(DomainError, match=message):

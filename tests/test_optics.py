@@ -230,6 +230,27 @@ class TestGroupVelocityLocal:
             derivative = group_velocity_from_dispersion(rho, probe)
             assert derivative == pytest.approx(closed, rel=1e-2)
 
+    @pytest.mark.parametrize("rho", [1e15, 1e19, 1.35e20])
+    @pytest.mark.parametrize("delta_gamma", [3.0, -3.0, 5.0, -5.0, 10.0, -10.0, 20.0, -20.0])
+    def test_dispersion_route_keeps_its_linear_identity(self, delta_gamma, rho):
+        # with the local field off chi' = alpha rho / (1 + g^2) is linear in rho,
+        # and c/v_g - 1 of the route over that of the closed form is exact in g
+        # and Delta / omega_0; a difference in omega = omega_0 + Delta, rounded
+        # to omega_0's ulp, once missed it by 5.8e-5
+        probe = na_probe(delta_gamma, local_field=False)
+        g = probe.gamma / (2.0 * probe.delta)
+        expected = (1.0 - g * g) / (1.0 + g * g) ** 2 + (probe.delta / OMEGA_0) / (1.0 + g * g)
+        slowness_ratio = ((c_light / group_velocity_from_dispersion(rho, probe) - 1.0)
+                          / (c_light / group_velocity_local(rho, probe) - 1.0))
+        assert slowness_ratio == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    def test_dispersion_route_at_three_gamma_builds_no_nearer_probe(self):
+        # under the suite's filter a probe below 3 gamma fails here; the route
+        # once took chi' at Delta - h, nearer resonance than the probe given
+        probe = na_probe(3.0)
+        closed = group_velocity_local(1e19, probe)
+        assert group_velocity_from_dispersion(1e19, probe) == pytest.approx(closed, rel=0.1)
+
     @pytest.mark.parametrize("rho", [-1e20, math.nan, math.inf])
     def test_density_must_be_finite_and_nonnegative(self, rho):
         # -1e20 once gave -1601.6 m/s, and NaN gave NaN
