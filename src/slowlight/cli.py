@@ -28,6 +28,7 @@ from collections.abc import Sequence
 
 from .constants import c as C_LIGHT
 from .gas import (
+    CharScales,
     GasSpec,
     Statistics,
     TrapGeometry,
@@ -68,8 +69,13 @@ class SweepSpec(namedtuple("SweepSpec", [
         return [self.start, *(10.0**v if log else v for v in inner), self.stop]
 
 
-class RunConfig(namedtuple("RunConfig", "gas trap probe sweep scales")):
+class RunConfig(namedtuple("RunConfig", "gas trap probe sweep")):
     __slots__ = ()
+
+    @property
+    def scales(self) -> CharScales:
+        """The characteristic scales of this run's gas and trap."""
+        return char_scales(self.gas, self.trap)
 
     @property
     def temperature_unit_name(self) -> str:
@@ -244,7 +250,8 @@ def _tokenize(text: str) -> dict[str, tuple[str, int]]:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration document; derived scales included."""
+    """Parse and validate a configuration document, whose scales must be
+    finite and nonzero too."""
     items = _tokenize(text)
     v = {}
     for key, (parse, default, rule) in _KEYS.items():
@@ -301,6 +308,20 @@ def parse_config(text: str) -> RunConfig:
     stats_list = v["sweep.statistics"] or (v["gas.statistics"],)
     gas_spec = GasSpec(v["gas.statistics"], v["gas.atom_count"], v["gas.mass"], a_sc)
     trap = TrapGeometry(omega_r=omega_r, epsilon=v["trap.epsilon"])
+    # a value in range may still over- or underflow in the scales or in the
+    # lambda_T(T_c) that _format_scales prints; R_B, mu_TF and eta are 0
+    # without scattering
+    try:
+        s = char_scales(gas_spec, trap)
+        lambda_c = s.T_c and thermal_wavelength(gas_spec.mass, s.T_c)  # T_c = 0 is refused first
+        for name, value in [*s._asdict().items(), ("lambda_T(T_c)", lambda_c)]:
+            if not (math.isfinite(value) and (value or not a_sc and name in ("R_B", "mu_TF", "eta"))):
+                raise ArithmeticError(f"got {name} = {value}")
+    except ArithmeticError as exc:
+        raise ConfigError(
+            "the characteristic scales and lambda_T(T_c) must be finite and nonzero in SI units "
+            f"({exc}); they are computed from gas.atom_count, gas.mass, gas.scattering_length, "
+            "trap.frequency_hz and trap.epsilon") from None
     probe = ProbeParams(omega_0=omega_0, gamma=gamma, delta=delta,
                         pinhole_R=v["probe.pinhole_radius"], local_field_on=v["probe.local_field"])
 
@@ -308,14 +329,12 @@ def parse_config(text: str) -> RunConfig:
         axis=axis, start=start, stop=stop, points=v["sweep.points"], scale=v["sweep.scale"],
         statistics_list=stats_list, temperature=v["sweep.temperature"],
     )
-    config = RunConfig(
-        gas=gas_spec, trap=trap, probe=probe, sweep=sweep, scales=char_scales(gas_spec, trap),
-    )
+    config = RunConfig(gas=gas_spec, trap=trap, probe=probe, sweep=sweep)
     # gas's rule for the temperatures the normalizations take; the grid is
     # monotone, so a temperature sweep's endpoints bound it
     for key in ("sweep.start", "sweep.stop") if axis == "temperature" else ("sweep.temperature",):
         try:
-            require_temperature_in_range(v[key] * config.temperature_unit, config.scales)
+            require_temperature_in_range(v[key] * config.temperature_unit, s)
         except ValueError as exc:
             raise invalid(key, str(exc)) from None
     return config

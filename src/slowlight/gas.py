@@ -17,8 +17,8 @@ s^2 = r^2 + eps^2 z^2, which may be absent.
              N - N_0 atoms; above T_c an ideal saturated cloud with the
              fugacity solved from Li_3(z) = zeta(3) (T_c/T)^3.  At T = 0
              the paraboloid 15 N eps (R_B^2 - s^2) / (8 pi R_B^5).
-  Boltzmann  rho = e^{beta(mu - V)} / lambda_T^3, normalized in closed form;
-             undefined at T = 0.
+  Boltzmann  rho = z e^{-beta V} / lambda_T^3 with the fugacity
+             z = (T_F/T)^3 / 6, normalized in closed form; undefined at T = 0.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class CharScales(namedtuple("CharScales", [
     __slots__ = ()
 
 
-class ThermoPoint(namedtuple("ThermoPoint", "T mu fugacity condensate_fraction")):
+class ThermoPoint(namedtuple("ThermoPoint", "mu fugacity condensate_fraction")):
     """Chemical potential and condensate data at one temperature."""
 
     __slots__ = ()
@@ -166,14 +166,6 @@ def require_temperature_in_range(T: float, scales: CharScales) -> None:
                              f"got (T/{name})^3 = {cube}")
 
 
-def mu_classical(T: float, scales: CharScales) -> float:
-    """Boltzmann-gas chemical potential; normalizes the Gaussian cloud exactly."""
-    if T <= 0.0:
-        raise ValueError("mu_classical requires T > 0")
-    require_temperature_in_range(T, scales)
-    return -k_B * T * math.log(6.0 * (T / scales.T_F) ** 3)
-
-
 def solve_mu_fermi(T: float, scales: CharScales) -> float:
     """Fermi chemical potential fixed by N = int rho dV: x = beta mu solves
     f_3(e^x) = (T_F/T)^3 / 6.  Brent's bracket, each end padded by 1 against
@@ -213,14 +205,14 @@ def mu_bose(T: float, scales: CharScales) -> ThermoPoint:
     if T < 0.0:
         raise ValueError("mu_bose requires T >= 0")
     if T == 0.0:
-        return ThermoPoint(T=0.0, mu=scales.mu_TF, fugacity=1.0, condensate_fraction=1.0)
+        return ThermoPoint(mu=scales.mu_TF, fugacity=1.0, condensate_fraction=1.0)
     require_temperature_in_range(T, scales)
     if T > scales.T_c:
         target = ZETA_3 * (scales.T_c / T) ** 3
         z = find_root(lambda u: polylog(3.0, u) - target, 1e-300, 1.0)
-        return ThermoPoint(T=T, mu=k_B * T * math.log(z), fugacity=z, condensate_fraction=0.0)
+        return ThermoPoint(mu=k_B * T * math.log(z), fugacity=z, condensate_fraction=0.0)
     frac = condensate_fraction(T, scales)
-    return ThermoPoint(T=T, mu=scales.mu_TF * frac**0.4, fugacity=1.0, condensate_fraction=frac)
+    return ThermoPoint(mu=scales.mu_TF * frac**0.4, fugacity=1.0, condensate_fraction=frac)
 
 
 class DensityProfile:
@@ -283,8 +275,9 @@ class DensityProfile:
             self.z_cut = self.r_cut / eps
             return
         beta = 1.0 / (k_B * T)
+        half_M_w2 = 0.5 * spec.mass * trap.omega_r**2
         self._lam3 = thermal_wavelength(spec.mass, T) ** 3
-        self._vcoef = 0.5 * spec.mass * trap.omega_r**2 * beta
+        self._vcoef = half_M_w2 * beta
         sigma_r = math.sqrt(k_B * T / (spec.mass * trap.omega_r**2))
         if stats is Statistics.FERMI:
             x0 = solve_mu_fermi(T, s) * beta
@@ -298,13 +291,14 @@ class DensityProfile:
                 # thermal amplitude scaled so the cloud holds N - N_0 atoms
                 kappa = (1.0 - point.condensate_fraction) / (T / s.T_c) ** 3
                 # condensate (mu - V)/U with U = 4 pi hbar^2 a / M
-                half_M_w2 = 0.5 * spec.mass * trap.omega_r**2
                 self._tf_amp = half_M_w2 * spec.mass / (4.0 * math.pi * hbar**2 * spec.a_sc)
                 self.tf_radius = math.sqrt(point.mu / half_M_w2)
             self._ladder = lambda order, v=0.0: kappa * polylog(order, z * math.exp(-v))
             self.r_cut = 8.0 * max(s.R_B, sigma_r)
         else:  # Boltzmann
-            zmu = math.exp(mu_classical(T, s) * beta)
+            require_temperature_in_range(T, s)
+            t = T / s.T_F
+            zmu = 1.0 / (6.0 * (t * t * t))
             self._ladder = lambda order, v=0.0: zmu * math.exp(-v)
             self.r_cut = 8.0 * sigma_r
         self.z_cut = self.r_cut / trap.epsilon

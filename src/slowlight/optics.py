@@ -279,10 +279,13 @@ def _delay_of_profile(
 def _checked_profile(spec: GasSpec, trap: TrapGeometry, probe: ProbeParams, T: float):
     """The cached profile, or PinholeError when the pinhole is as wide as its
     cut-off radius r_cut; r_cut depends on T and the statistics, so the
-    config reader cannot refuse it.  The profile reads no tolerance, so the
-    cache key takes DEFAULT_TOL whatever the caller's: one profile per
-    (spec, trap, T)."""
+    config reader cannot refuse it.  An infinite r_cut (an infinite R_B,
+    say) raises ValueError: the window it sets would never be halved down to
+    the pinhole.  The profile reads no tolerance, so the cache key takes
+    DEFAULT_TOL whatever the caller's: one profile per (spec, trap, T)."""
     prof = make_profile(spec, trap, T, DEFAULT_TOL)
+    if not math.isfinite(prof.r_cut):
+        raise ValueError(f"the cloud's cut-off radius r_cut must be finite, got {prof.r_cut}")
     if probe.pinhole_R >= prof.r_cut:
         raise PinholeError(
             f"probe.pinhole_radius: R = {probe.pinhole_R:.6g} m is not inside the cloud, "

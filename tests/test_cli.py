@@ -31,7 +31,9 @@ from slowlight.cli import (
     run_sweep,
     write_csv,
 )
-from slowlight.gas import DensityProfile, GasSpec, Statistics, TrapGeometry, make_profile
+from slowlight.gas import (
+    DensityProfile, GasSpec, Statistics, TrapGeometry, char_scales, make_profile,
+)
 from slowlight.numerics import NumericTolerances
 from slowlight.optics import ProbeParams, ZeroDetuningError
 
@@ -306,6 +308,15 @@ class TestParseConfig:
         cfg_f = parse_config(fermi_only)
         assert cfg_f.temperature_unit_name == "T_F"
         assert cfg_f.temperature_unit == pytest.approx(cfg_f.scales.T_F)
+
+    def test_a_copy_with_another_gas_runs_at_its_own_temperatures(self):
+        # the scales follow the gas and the trap: 8x the atoms doubles T_c
+        cfg = parse_config(preset_text("fig1"))
+        new = cfg._replace(gas=cfg.gas._replace(n_atoms=8 * cfg.gas.n_atoms))
+        scales = char_scales(new.gas, new.trap)
+        assert new.scales == scales
+        assert new.temperature_unit == scales.T_c
+        assert scales.T_c == pytest.approx(2.0 * cfg.temperature_unit, rel=1e-12)
 
 
 class TestRunSweep:
@@ -704,6 +715,29 @@ class TestCommandLine:
         assert not out_csv.exists()
         err = capsys.readouterr().err
         assert "probe.pinhole_radius" in err and "r_cut" in err
+
+    # every value is in range, but a scale is not: a_ho underflows to 0 and
+    # R_B divides by it, M omega_r underflows in a_r, M T_c in lambda_T(T_c),
+    # N eps overflows in R_F, and an infinite R_B gives a cut-off radius whose
+    # window was halved toward the pinhole forever.  In a child, so a hang
+    # fails the test.
+    @pytest.mark.parametrize("key,value", [
+        ("gas.mass", "1e300"), ("trap.frequency_hz", "1e-300"), ("gas.mass", "1e-300"),
+        ("trap.epsilon", "1e300"), ("gas.scattering_length", "1e300 m"),
+    ], ids=["a_ho-underflows", "a_r-divides-by-zero", "lambda_T-divides-by-zero",
+            "R_F-infinite", "R_B-infinite"])
+    def test_scale_out_of_float_range_exits_one_naming_its_keys(self, tmp_path, key, value):
+        text = re.sub(rf"^{re.escape(key)} .*$", f"{key} = {value}", preset_text("fig1"),
+                      flags=re.MULTILINE)
+        cfg, out_csv = tmp_path / "scale.preset", tmp_path / "never.csv"
+        cfg.write_text(text, encoding="utf-8")
+        for words in (["scales", cfg], ["run", cfg, "--out", out_csv]):
+            result = subprocess.run([sys.executable, "-m", "slowlight.cli", *map(str, words)],
+                                    capture_output=True, text=True, env=_child_env(), timeout=30)
+            assert result.returncode == 1
+            assert result.stderr.startswith("error: the characteristic scales")
+            assert key in result.stderr and "Traceback" not in result.stderr
+        assert not out_csv.exists()
 
     def test_local_field_pole_exits_nonzero_naming_x_peak(self, tmp_path, capsys):
         bad = tmp_path / "pole.config"

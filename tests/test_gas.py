@@ -22,7 +22,6 @@ from slowlight.gas import (
     density,
     make_profile,
     mu_bose,
-    mu_classical,
     solve_mu_fermi,
     thermal_wavelength,
 )
@@ -124,18 +123,13 @@ class TestChemicalPotentials:
         T = t * s.T_F
         fermi = GasSpec(Statistics.FERMI, spec.n_atoms, spec.mass)
         boltzmann = GasSpec(Statistics.BOLTZMANN, spec.n_atoms, spec.mass)
-        for call in (lambda: solve_mu_fermi(T, s), lambda: mu_classical(T, s),
+        for call in (lambda: solve_mu_fermi(T, s),
                      lambda: mu_bose(T, s), lambda: make_profile(fermi, trap, T),
                      lambda: make_profile(boltzmann, trap, T),
                      lambda: make_profile(spec, trap, T)):
             with pytest.raises(ValueError, match=r"^\(T/T_F\)\^3 and its inverse must be finite "
                                                  r"and nonzero, got \(T/T_F\)\^3 = (inf|0\.0)$"):
                 call()
-
-    def test_classical_zero_crossing(self, na_cloud):
-        _, _, s = na_cloud
-        T0 = s.T_F / 6.0 ** (1.0 / 3.0)
-        assert abs(mu_classical(T0, s)) < 1e-12 * k_B * s.T_F
 
     def test_classical_matches_fermi_high_branch(self, na_cloud):
         # f_3(z) = z - z^2/8 + O(z^3): above T_F, beta mu = ln z exceeds the
@@ -144,7 +138,7 @@ class TestChemicalPotentials:
         for t in (2.5, 5.0, 10.0):
             T = t * s.T_F
             z_cl = 1.0 / (6.0 * t**3)
-            gap = (solve_mu_fermi(T, s) - mu_classical(T, s)) / (k_B * T)
+            gap = solve_mu_fermi(T, s) / (k_B * T) - math.log(z_cl)
             assert gap == pytest.approx(z_cl / 8.0, rel=z_cl, abs=0.0)
 
     def test_no_jump_where_the_limiting_formulas_meet(self, na_cloud):
@@ -566,12 +560,11 @@ class TestValidation:
     @pytest.mark.parametrize("refusal,message", [
         (lambda s: GasSpec(Statistics.FERMI, 1e6, MASS_NA, -1e-9), "scattering length must be >= 0"),
         (lambda s: thermal_wavelength(MASS_NA, 0.0), "thermal wavelength requires T > 0"),
-        (lambda s: mu_classical(0.0, s), "mu_classical requires T > 0"),
         (lambda s: solve_mu_fermi(-1.0, s), "solve_mu_fermi requires T > 0"),
         (lambda s: condensate_fraction(-1e-12 * s.T_c, s), r"requires 0 <= T <= T_c"),
         (lambda s: condensate_fraction(1.01 * s.T_c, s), r"requires 0 <= T <= T_c"),
         (lambda s: mu_bose(-1.0, s), "mu_bose requires T >= 0"),
-    ], ids=["a_sc", "thermal_wavelength", "mu_classical", "solve_mu_fermi",
+    ], ids=["a_sc", "thermal_wavelength", "solve_mu_fermi",
             "condensate_fraction-below", "condensate_fraction-above", "mu_bose"])
     def test_refusal_names_its_rule(self, na_cloud, refusal, message):
         with pytest.raises(ValueError, match=message):

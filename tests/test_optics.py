@@ -2,7 +2,9 @@
 
 import importlib.util
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -1498,6 +1500,32 @@ class TestEffectiveGroupVelocity:
         R = r_cut if pinhole == "r_cut" else pinhole
         with pytest.raises(PinholeError, match=r"probe\.pinhole_radius: .* r_cut"):
             observable(fspec, trap, na_probe(pinhole=R), T)
+
+    # GasSpec takes a_sc = 1e300 m, whose R_B and so cut-off radius are
+    # infinite: the window that radius sets was halved toward the pinhole
+    # forever.  In a child, so a hang fails the test.
+    CHILD_INFINITE_R_CUT = (
+        "import math\n"
+        "from slowlight.gas import GasSpec, Statistics, TrapGeometry, char_scales\n"
+        "from slowlight.optics import ProbeParams, delay_time, effective_group_velocity, "
+        "transmission\n"
+        "spec = GasSpec(Statistics.BOSE, 3.8e6, 3.81754e-26, 1e300)\n"
+        "trap = TrapGeometry(2.0 * math.pi * 69.0, 1.0 / 3.0)\n"
+        "probe = ProbeParams(3.2e15, 6.3e7, 6.3e8, 7.5e-6, local_field_on=True)\n"
+        "for observable in (delay_time, transmission, effective_group_velocity):\n"
+        "    try:\n"
+        "        observable(spec, trap, probe, 0.5 * char_scales(spec, trap).T_c)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+
+    def test_every_observable_refuses_an_infinite_cut_off_radius(self):
+        package_parent = Path(optics.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", self.CHILD_INFINITE_R_CUT], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(package_parent)}, timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == 3 * "the cloud's cut-off radius r_cut must be finite, got inf\n"
 
     def test_velocity_ordering_below_tc(self, na_cloud):
         spec, trap, s = na_cloud
